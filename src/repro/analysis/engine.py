@@ -16,6 +16,8 @@ Every analysis entry point (:func:`~repro.analysis.dcop.solve_dc`,
 ``None`` (the default everywhere) resolves to the process-wide default set
 here, so a single :func:`use_engine` context flips a whole flow — this is
 how ``python -m repro bench`` measures before/after on identical code paths.
+:func:`default_engine`, :func:`set_default_engine`, :func:`resolve_engine`
+and :func:`use_engine` are the bound methods of :data:`analysis_engine`.
 
 A second, independent knob selects how *ensembles* of parameter vectors
 (Monte-Carlo mismatch samples, process corners) are evaluated on top of
@@ -34,20 +36,17 @@ from typing import Iterator, Optional, Tuple
 
 COMPILED = "compiled"
 LEGACY = "legacy"
-_ENGINES = (COMPILED, LEGACY)
 
 STACKED = "stacked"
 PERSAMPLE = "per-sample"
-
-_default_engine = COMPILED
 
 
 class EngineSwitch:
     """One process-wide engine knob with scoped override support.
 
-    Mirror of :class:`repro.layout.engine.EngineSwitch` for the analysis
-    side, so the ensemble knob composes with (not replaces) the
-    compiled/legacy selection above.
+    Every engine selection in the package — the analysis engine and the
+    ensemble engine here, the extraction / DRC / incremental switches of
+    :mod:`repro.layout.engine` — is an instance of this class.
     """
 
     __slots__ = ("label", "options", "_current")
@@ -89,56 +88,13 @@ class EngineSwitch:
             self._current = previous
 
 
+#: The compiled/legacy selection every analysis entry point resolves.
+analysis_engine = EngineSwitch("analysis", COMPILED, (COMPILED, LEGACY))
+
 #: How K-member parameter ensembles are solved on the compiled engine.
 ensemble_engine = EngineSwitch("ensemble", STACKED, (STACKED, PERSAMPLE))
 
-FULL = "full"
-CHORD = "chord"
-
-#: How Newton linear systems are solved on the compiled engine:
-#: ``"full"`` factors the Jacobian every iteration (the reference
-#: behaviour, bit-stable across releases); ``"chord"`` reuses one LU
-#: factorization for trailing iterations and refactors on residual
-#: stall (:meth:`~repro.analysis.stamps.StampProgram.newton_chord`).
-#: Chord iterates converge to the same fixed point but along a
-#: different path, so the switch defaults to ``"full"`` and chord is
-#: opt-in per run.
-newton_engine = EngineSwitch("newton", FULL, (FULL, CHORD))
-
-
-def default_engine() -> str:
-    """The process-wide engine used when callers pass ``engine=None``."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default analysis engine."""
-    global _default_engine
-    _default_engine = _validated(name)
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an ``engine`` argument to a concrete engine name."""
-    if engine is None:
-        return _default_engine
-    return _validated(engine)
-
-
-@contextmanager
-def use_engine(name: str) -> Iterator[str]:
-    """Temporarily switch the default engine (benchmarks, golden tests)."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = _validated(name)
-    try:
-        yield _default_engine
-    finally:
-        _default_engine = previous
-
-
-def _validated(name: str) -> str:
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown analysis engine {name!r}; expected one of {_ENGINES}"
-        )
-    return name
+default_engine = analysis_engine.default
+set_default_engine = analysis_engine.set_default
+resolve_engine = analysis_engine.resolve
+use_engine = analysis_engine.use

@@ -16,7 +16,6 @@ parasitics converge:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import time
 import warnings
@@ -37,7 +36,7 @@ from repro.layout.parasitics import ParasiticReport
 from repro.resilience import faults
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
-from repro.runtime import artifacts, speculate
+from repro.runtime import artifacts
 from repro.telemetry import metrics, monitor
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode, SizingResult
@@ -84,9 +83,8 @@ class SynthesisOutcome:
         deliberately excludes wall-clock ``elapsed``, the geometry cell
         object, diagnostics text and the trace — so a run hashes
         identically whether its rounds were computed, replayed from a
-        journal, served from the incremental caches or collected from a
-        speculative worker.  The CI incremental-on/off determinism
-        check compares these.
+        journal or served from the incremental and artifact stores.  The
+        CI incremental-on/off determinism check compares these.
         """
         payload = (
             self.converged,
@@ -118,8 +116,7 @@ def _estimate_content(
     synthesizer's geometry knobs.  Sizings that do not carry a real
     ``sizes`` mapping (scripted stand-ins in tests, degraded stubs)
     return None: their layout tools may be stateful, so every call must
-    reach the tool.  Module-level so the speculative worker derives the
-    same key as the main loop.
+    reach the tool.
     """
     sizes = getattr(sizing, "sizes", None)
     if not isinstance(sizes, dict):
@@ -139,53 +136,6 @@ def _estimate_content(
         aspect,
         prefer_even_folds,
     )
-
-
-def _warm_digest() -> str:
-    """Exact digest of the innermost warm-start session's seeds.
-
-    Hashes the raw float64 bytes (never a repr, which rounds), because
-    a seed steers the Newton iterate path: two sizing rounds are only
-    interchangeable when their warm state matches bit-for-bit.
-    """
-    from repro.analysis import warmstart
-
-    digest = hashlib.sha256(b"repro-warm-v1")
-    for key, seed in warmstart.snapshot().items():
-        digest.update(repr(key).encode())
-        digest.update(seed.tobytes())
-    return digest.hexdigest()
-
-
-def _speculative_estimate(payload):
-    """Worker body of one speculative next-round evaluation.
-
-    Replays the sizing the main loop is about to run — same plan, specs,
-    feedback and warm-start seeds — then computes its layout estimate
-    and returns it under the same content key
-    :meth:`LayoutOrientedSynthesizer._estimate` will derive, so an
-    accurate prediction is consumed as an exact hit and a stale one
-    simply never matches.  Runs on a pool worker; module-level for
-    picklability.
-    """
-    plan, specs, mode, feedback, warm, aspect, prefer_even_folds = payload
-    from repro.analysis import warmstart
-
-    with warmstart.session():
-        warmstart.restore(warm)
-        sizing = plan.size(specs, mode, feedback)
-    request = OtaLayoutRequest(
-        technology=plan.technology,
-        sizes=sizing.sizes,
-        currents=sizing.currents,
-        aspect=aspect,
-        prefer_even_folds=prefer_even_folds,
-    )
-    estimate = generate_ota_layout(request, mode="estimate")
-    content = _estimate_content(
-        sizing, plan.technology, aspect, prefer_even_folds
-    )
-    return artifacts.content_key("layout-estimate", content), estimate
 
 
 class LayoutOrientedSynthesizer:
@@ -228,10 +178,6 @@ class LayoutOrientedSynthesizer:
         #: tools (scripted stand-ins, stateful mocks) must never be
         #: served from the cross-run artifact cache.
         self._default_tool = layout_tool is None
-        #: Parasitic-estimate results keyed on canonicalized sizing content
-        #: plus the technology fingerprint — a converged round that
-        #: re-requests identical geometry skips the layout rebuild.
-        self._estimate_cache: Dict[tuple, object] = {}
 
     def _layout_request(self, sizing: SizingResult) -> OtaLayoutRequest:
         return OtaLayoutRequest(
@@ -245,160 +191,33 @@ class LayoutOrientedSynthesizer:
     def _default_layout_tool(self, sizing: SizingResult, mode: str):
         return generate_ota_layout(self._layout_request(sizing), mode=mode)
 
-    def _estimate_key(self, sizing) -> Optional[tuple]:
-        """Memoization key for a parasitic-estimate call, or None."""
-        return _estimate_content(
+    def _estimate(self, sizing):
+        """The layout tool in estimate mode, served from the cross-run
+        artifact store where safe.
+
+        Only the built-in tool is looked up, keyed on the canonical
+        sizing content (:func:`_estimate_content`), so a hit returns the
+        bits a rebuild would produce.  A hit is still a logical layout
+        call — only the rebuild is skipped — so traces keep one
+        layout.call span per synthesis round.
+        """
+        store = artifacts.active() if self._default_tool else None
+        content = None if store is None else _estimate_content(
             sizing, self.technology, self.aspect, self.prefer_even_folds
         )
-
-    def _cached_estimate(self, key, result):
-        """Account one estimate served without a rebuild and return it.
-
-        Still a logical layout call — only the rebuild is skipped — so
-        traces keep one layout.call span per synthesis round.
-        """
-        with telemetry.span("layout.call", mode="estimate", cached=True):
-            telemetry.count("layout.calls.estimate")
-            telemetry.count("layout.cache.hit")
-        self._estimate_cache[key] = result
-        return result
-
-    def _estimate(self, sizing):
-        """The layout tool in estimate mode, memoized where safe.
-
-        Lookup order: in-memory memo, cross-run artifact store, landed
-        speculative results (:mod:`repro.runtime.speculate`) — all keyed
-        on the same canonical content, so every source returns the bits
-        a local rebuild would produce.
-        """
-        key = self._estimate_key(sizing)
-        if key is None:
+        if content is None:
             return self.layout_tool(sizing, "estimate")
-        cached = self._estimate_cache.get(key)
-        if cached is not None:
-            return self._cached_estimate(key, cached)
-        store = artifacts.active() if self._default_tool else None
-        scope = speculate.active() if self._default_tool else None
-        content_key = (
-            artifacts.content_key("layout-estimate", key)
-            if store is not None or scope is not None
-            else None
-        )
-        if store is not None:
-            persisted = store.get("layout-estimate", content_key)
-            if persisted is not None:
-                return self._cached_estimate(key, persisted)
-        if scope is not None:
-            landed = scope.collect(content_key, wait_s=scope.wait_s)
-            if landed is not None:
-                if store is not None:
-                    store.put("layout-estimate", content_key, landed)
-                return self._cached_estimate(key, landed)
+        key = artifacts.content_key("layout-estimate", content)
+        persisted = store.get("layout-estimate", key)
+        if persisted is not None:
+            with telemetry.span("layout.call", mode="estimate", cached=True):
+                telemetry.count("layout.calls.estimate")
+                telemetry.count("layout.cache.hit")
+            return persisted
         telemetry.count("layout.cache.miss")
         result = self.layout_tool(sizing, "estimate")
-        self._estimate_cache[key] = result
-        if store is not None:
-            store.put("layout-estimate", content_key, result)
+        store.put("layout-estimate", key, result)
         return result
-
-    def _sizing_key(self, specs, mode, feedback, budget) -> Optional[str]:
-        """Memoization key for one whole sizing round, or None.
-
-        Only pure rounds are memoizable: the plan must publish a
-        config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`),
-        no budget may be active (a budget can cap iterations
-        differently per call), and the incremental engine must be on.
-        The key covers the active analysis/newton engine switches and
-        an exact digest of the warm-start state, because both steer the
-        DC iterate path the plan's verification solves take.
-        """
-        from repro.analysis import engine as analysis_engine
-        from repro.layout import incremental
-
-        if budget is not None or not incremental.enabled():
-            return None
-        # Duck-typed: stub plans in tests may not subclass DesignPlan at
-        # all — no config key means no memoization, same as None.
-        config = getattr(self.plan, "config_key", lambda: None)()
-        if config is None:
-            return None
-        return artifacts.content_key(
-            "sizing-round",
-            config,
-            specs,
-            mode.name,
-            feedback,
-            analysis_engine.default_engine(),
-            analysis_engine.newton_engine.default(),
-            _warm_digest(),
-        )
-
-    def _size_round(self, specs, mode, feedback, budget):
-        """One sizing round, memoized on full content where safe.
-
-        The cached value carries the warm-start snapshot taken *after*
-        the original call; a hit restores it, so every downstream DC
-        solve — the next round's, the Monte-Carlo stage's — sees the
-        exact seed state a recomputation would have produced and the
-        run's bits are independent of cache temperature.
-        """
-        from repro.analysis import warmstart
-        from repro.layout import incremental
-
-        key = self._sizing_key(specs, mode, feedback, budget)
-        cached = incremental.lookup_sizing(key)
-        if cached is not None:
-            sizing, warm_after = cached
-            warmstart.restore(warm_after)
-            with telemetry.span("synthesis.sizing", cached=True):
-                pass
-            return copy.deepcopy(sizing)
-        with telemetry.span("synthesis.sizing"):
-            sizing = self.plan.size(specs, mode, feedback, budget=budget)
-        incremental.store_sizing(
-            key, (copy.deepcopy(sizing), warmstart.snapshot())
-        )
-        return sizing
-
-    def _land_speculation(self, key, value) -> None:
-        """Write one landed speculative estimate through to the artifact
-        store so mis-speculation still warms future runs."""
-        store = artifacts.active()
-        if store is not None:
-            store.put("layout-estimate", key, value)
-
-    def _maybe_speculate(self, specs, mode, feedback, budget) -> None:
-        """Dispatch the likely next round ahead of need (never blocking).
-
-        Only for the built-in layout tool driven by a pure
-        (config-keyed) plan, with no budget (a budget may cap the
-        worker's iterations differently) and no armed fault plan.  The
-        worker replays sizing from this exact warm-start snapshot, so
-        an accurate prediction lands its estimate under the very
-        content key the next round derives.
-        """
-        scope = speculate.active()
-        if scope is None or not self._default_tool:
-            return
-        if budget is not None or faults.active():
-            return
-        if getattr(self.plan, "config_key", lambda: None)() is None:
-            return
-        from repro.analysis import warmstart
-
-        scope.set_lander(self._land_speculation)
-        scope.submit(
-            _speculative_estimate,
-            (
-                self.plan,
-                specs,
-                mode,
-                feedback,
-                warmstart.snapshot(),
-                self.aspect,
-                self.prefer_even_folds,
-            ),
-        )
 
     def run(
         self,
@@ -526,9 +345,10 @@ class LayoutOrientedSynthesizer:
                             faults.maybe_raise(
                                 "synthesis.sizing", index=round_index
                             )
-                        sizing = self._size_round(
-                            specs, mode, feedback, budget
-                        )
+                        with telemetry.span("synthesis.sizing"):
+                            sizing = self.plan.size(
+                                specs, mode, feedback, budget=budget
+                            )
                         stage = "layout"
                         if faults.active():
                             faults.maybe_raise(
@@ -614,8 +434,6 @@ class LayoutOrientedSynthesizer:
                     ):
                         converged = True
                         break
-                    if round_index < self.max_layout_calls:
-                        self._maybe_speculate(specs, mode, feedback, budget)
         except BudgetExceededError as error:
             # Hand the partial progress to the caller for diagnosis.
             if error.partial is None:

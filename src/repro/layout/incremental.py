@@ -1,20 +1,16 @@
 """Differential reuse caches for the incremental synthesis path.
 
-The synthesis loop (paper Figure 1b) re-runs three pure computations
+The synthesis loop (paper Figure 1b) re-runs two pure computations
 with largely repeated inputs:
 
 * **per-module extraction** — every layout call extracts each placed
   module cell; across rounds (and across the final ``generate`` pass,
   which rebuilds the converged round's geometry) most module cells are
   content-identical;
-* **whole layout calls** — a converged round's ``generate`` pass and
-  every warm re-run of the same case rebuild a layout for a sizing that
-  was already built;
-* **sizing rounds** — a re-run (benchmark repeat, journal resume, warm
-  artifact cache) re-derives the same sizing from the same specs,
-  feedback and warm-start state.
+* **whole layout calls** — a converged round's ``generate`` pass
+  rebuilds the layout its last ``estimate`` call already built.
 
-All three are memoized here in process-wide LRU stores keyed on full
+Both are memoized here in process-wide LRU stores keyed on full
 content (geometry digests, technology fingerprints, canonicalized
 request fields, engine-switch settings).  A hit returns the stored
 result of a computation with bit-identical inputs, so the incremental
@@ -28,8 +24,7 @@ Counters (:mod:`repro.telemetry`):
 * ``layout.incremental.reuse`` / ``layout.incremental.dirty`` — one per
   module-cell extraction served from / inserted into the store;
 * ``layout.incremental.call_reuse`` / ``layout.incremental.call_build``
-  — same, at whole-layout-call granularity;
-* ``sizing.cache.hit`` / ``sizing.cache.miss`` — sizing-round memo.
+  — same, at whole-layout-call granularity.
 """
 
 from __future__ import annotations
@@ -100,10 +95,6 @@ _extraction_store = LruStore(capacity=512)
 #: geometry, so the capacity stays small.
 _layout_store = LruStore(capacity=32)
 
-#: Sizing rounds: (plan config, specs, mode, feedback, warm-state
-#: digest, engine settings) -> (SizingResult, warm snapshot after).
-_sizing_store = LruStore(capacity=128)
-
 
 def enabled() -> bool:
     """True when incremental reuse is on and no fault plan is armed.
@@ -121,7 +112,6 @@ def clear() -> None:
     """Drop every process-wide store (tests, benchmarks)."""
     _extraction_store.clear()
     _layout_store.clear()
-    _sizing_store.clear()
 
 
 def stats() -> Dict[str, Dict[str, int]]:
@@ -130,7 +120,6 @@ def stats() -> Dict[str, Dict[str, int]]:
     for name, store in (
         ("extraction", _extraction_store),
         ("layout", _layout_store),
-        ("sizing", _sizing_store),
     ):
         out[name] = {
             "entries": len(store),
@@ -204,21 +193,3 @@ def store_layout(key: Optional[str], result: Any) -> None:
     telemetry.count("layout.incremental.call_build")
     _layout_store.put(key, result)
 
-
-# -- Sizing rounds -----------------------------------------------------------
-
-
-def lookup_sizing(key: Optional[str]) -> Optional[Any]:
-    if key is None:
-        return None
-    found = _sizing_store.get(key)
-    if found is not None:
-        telemetry.count("sizing.cache.hit")
-    else:
-        telemetry.count("sizing.cache.miss")
-    return found
-
-
-def store_sizing(key: Optional[str], value: Any) -> None:
-    if key is not None:
-        _sizing_store.put(key, value)

@@ -568,36 +568,13 @@ def run_benchmarks(
         # The differential caches would mask the engine difference this
         # entry exists to measure (a warm repeat skips the physics in
         # both columns), so the raw legacy-vs-compiled comparison runs
-        # from scratch; the ``_incremental`` entry below owns the cached
-        # comparison.
-        from repro.layout import incremental
-        from repro.layout.engine import (
-            FROM_SCRATCH,
-            INCREMENTAL,
-            incremental_engine,
-        )
+        # from scratch.
+        from repro.layout.engine import FROM_SCRATCH, incremental_engine
 
-        synth_repeat = max(1, repeat - 1)
         with incremental_engine.use(FROM_SCRATCH):
             results["synthesize_case4"] = compare_engines(
-                synthesize, repeat=synth_repeat
+                synthesize, repeat=max(1, repeat - 1)
             )
-
-        # Incremental hot path: from-scratch synthesis (legacy column)
-        # vs the differential caches (compiled column).  The warmup call
-        # inside time_call fills the stores, so the timed incremental
-        # repeats measure the warm loop — the case the sizing<->layout
-        # iteration actually hits from round two onward.
-        incremental.clear()
-        with incremental_engine.use(FROM_SCRATCH):
-            scratch = time_call(synthesize, repeat=synth_repeat)
-        incremental.clear()
-        with incremental_engine.use(INCREMENTAL):
-            differential = time_call(synthesize, repeat=synth_repeat)
-        incremental.clear()
-        results["synthesize_case4_incremental"] = _engine_entry(
-            scratch, differential
-        )
     return results
 
 

@@ -414,10 +414,11 @@ def run_dispatch(
                         retry.append(i)
                 for i, future in futures.items():
                     if journal is not None and journal.interrupted:
-                        # Shutdown signal: drain in-flight workers,
-                        # journal every result that made it home, then
-                        # stop cleanly.
-                        pool.shutdown(wait=True, cancel_futures=True)
+                        # Shutdown signal: drain every submitted unit —
+                        # queued ones too, so none is cancelled before
+                        # it starts — journal every result, then stop
+                        # cleanly.
+                        pool.shutdown(wait=True)
                         for j, done in futures.items():
                             if (
                                 not client.has_result(j)

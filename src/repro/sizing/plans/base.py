@@ -28,18 +28,6 @@ class DesignPlan(ABC):
         self.technology = technology
         self.model_level = model_level
 
-    def config_key(self) -> Optional[tuple]:
-        """Canonical tuple of everything that parameterizes :meth:`size`.
-
-        A plan whose sizing is a pure function of (this key, specs,
-        mode, feedback, warm-start state) may return a tuple here, which
-        lets the synthesis loop memoize whole sizing rounds on content
-        (see :mod:`repro.layout.incremental`).  The default ``None``
-        opts out — scripted or stateful plans must never be served from
-        a cache.
-        """
-        return None
-
     @abstractmethod
     def size(
         self,

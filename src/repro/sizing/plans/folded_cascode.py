@@ -108,29 +108,6 @@ class FoldedCascodePlan(DesignPlan):
             }
         )
 
-    def config_key(self) -> tuple:
-        """Everything :meth:`size` reads besides its arguments.
-
-        The plan is stateless across calls — every ``size()`` restarts
-        from ``initial_lengths`` — so this tuple plus the call inputs
-        (specs, mode, feedback, warm-start session state) fully
-        determines the result, making whole sizing rounds safe to
-        memoize on content.
-        """
-        return (
-            self.topology,
-            self.technology.fingerprint(),
-            self.model_level,
-            self.veff_input,
-            self.max_iterations,
-            self.gbw_tolerance,
-            self.pm_tolerance,
-            self.kappa_floor,
-            self.max_cascode_length,
-            self.min_length,
-            tuple(sorted(self.initial_lengths.items())),
-        )
-
     # -- Operating point ------------------------------------------------------
 
     def _overdrives(self, specs: OtaSpecs) -> Dict[str, float]:

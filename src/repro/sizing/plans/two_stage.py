@@ -71,20 +71,6 @@ class TwoStagePlan(DesignPlan):
             "m7": 0.8 * UM,
         }
 
-    def config_key(self) -> tuple:
-        """See :meth:`DesignPlan.config_key`; this plan is stateless."""
-        return (
-            self.topology,
-            self.technology.fingerprint(),
-            self.model_level,
-            self.veff_input,
-            self.cc_ratio,
-            self.max_iterations,
-            self.gbw_tolerance,
-            self.pm_tolerance,
-            tuple(sorted(self.lengths.items())),
-        )
-
     def size(
         self,
         specs: OtaSpecs,

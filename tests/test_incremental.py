@@ -1,10 +1,9 @@
 """Incremental synthesis hot path.
 
-Pins the tentpole contract: the differential/incremental caches, the
-speculative evaluator and the chord-Newton rung change wall-clock, never
-output bits — synthesis fingerprints are identical across incremental
-on/off, any cache temperature and any speculation worker count, and the
-chord solver's fixed point matches full Newton.
+Pins the contract of the differential/incremental caches: they change
+wall-clock, never output bits — synthesis fingerprints are identical
+across incremental on/off, any cache temperature and any order in which
+one process synthesizes distinct designs.
 """
 
 from __future__ import annotations
@@ -12,10 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis import warmstart
-from repro.analysis.engine import newton_engine
-from repro.analysis.stamps import StampProgram
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout import incremental
 from repro.layout.engine import incremental_engine
@@ -25,7 +21,6 @@ from repro.layout.two_stage_ota import (
     TwoStageLayoutRequest,
     generate_two_stage_layout,
 )
-from repro.runtime import speculate
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
@@ -196,52 +191,9 @@ class TestDirtyInvalidation:
         assert incremental.stats()["layout"]["hits"] == 0
 
 
-class TestChordNewton:
-    def test_max_reuse_zero_is_bitwise_full_newton(self, hand_testbench):
-        program = StampProgram(hand_testbench.circuit)
-        start = program.initial_guess()
-        full = program.newton(start, 1e-12)
-        chord = program.newton_chord(start, 1e-12, max_reuse=0)
-        assert (full[0] == chord[0]).all()
-        assert full[1:] == chord[1:]
-
-    def test_chord_solution_matches_full(self, hand_testbench):
-        full = StampProgram(hand_testbench.circuit)
-        v_full, _, gmin_full = full.solve_voltages()
-        chord = StampProgram(hand_testbench.circuit)
-        with newton_engine.use("chord"):
-            v_chord, _, gmin_chord = chord.solve_voltages()
-        assert chord.last_convergence.strategy == "chord-newton"
-        assert gmin_full == gmin_chord
-        np.testing.assert_allclose(v_chord, v_full, rtol=1e-9, atol=1e-12)
-
-    def test_refactor_counter_counts_refreshes(self, hand_testbench):
-        with trace_run("chord") as tracer:
-            program = StampProgram(hand_testbench.circuit)
-            with newton_engine.use("chord"):
-                program.solve_voltages()
-        assert tracer.counters.get("newton.refactor", 0) >= 1
-
-    def test_full_engine_never_refactors(self, hand_testbench):
-        with trace_run("full") as tracer:
-            StampProgram(hand_testbench.circuit).solve_voltages()
-        assert "newton.refactor" not in tracer.counters
-
-    def test_ensemble_chord_matches_full(self, hand_testbench):
-        from repro.analysis.montecarlo import run_monte_carlo
-
-        full = run_monte_carlo(hand_testbench, runs=8, seed=11)
-        with newton_engine.use("chord"):
-            chord = run_monte_carlo(hand_testbench, runs=8, seed=11)
-        for key, values in full.samples.items():
-            np.testing.assert_allclose(
-                chord.samples[key], values, rtol=1e-6, err_msg=key
-            )
-
-
 class TestSynthesisDeterminism:
     """The acceptance contract: fingerprints are independent of the
-    incremental engine, cache temperature and speculation workers."""
+    incremental engine and cache temperature."""
 
     @pytest.fixture(scope="class")
     def reference(self, tech, specs):
@@ -267,22 +219,58 @@ class TestSynthesisDeterminism:
         warm = self._run(tech, specs)
         assert warm.fingerprint() == reference
         stats = incremental.stats()
-        assert stats["sizing"]["hits"] > 0, (
-            "a warm repeat must serve sizing rounds from the memo"
-        )
         assert stats["layout"]["hits"] > 0
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_speculative_hits_are_deterministic(
-        self, tech, specs, reference, workers
-    ):
-        incremental.clear()
-        with speculate.session(workers) as scope:
-            outcome = self._run(tech, specs)
-        assert outcome.fingerprint() == reference
-        assert scope.hits >= 1, (
-            "the loop must consume at least one speculative estimate"
+
+class TestRunOrder:
+    """The process-wide stores outlive a synthesis, so one design's
+    entries are live while the next is synthesized.  Fingerprints must
+    not depend on which designs ran before in the same process."""
+
+    def _folded_cascode(self, tech, specs):
+        synthesizer = LayoutOrientedSynthesizer(
+            tech, plan=FoldedCascodePlan(tech)
         )
+        return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
+
+    def _two_stage(self, tech):
+        specs = OtaSpecs(
+            vdd=3.3, gbw=30e6, phase_margin=60.0, cload=2 * PF,
+            input_cm_range=(1.0, 2.0), output_range=(0.4, 2.9),
+        )
+
+        def layout_tool(sizing, mode):
+            return generate_two_stage_layout(
+                TwoStageLayoutRequest(
+                    technology=tech, sizes=sizing.sizes,
+                    currents=sizing.currents, cc=sizing.biases["_cc"],
+                ),
+                mode=mode,
+            )
+
+        synthesizer = LayoutOrientedSynthesizer(
+            tech, plan=TwoStagePlan(tech), layout_tool=layout_tool
+        )
+        return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
+
+    def test_fingerprints_independent_of_run_order(self, tech, specs):
+        other = OtaSpecs(
+            vdd=3.3, gbw=50e6, phase_margin=65.0, cload=2 * PF,
+            input_cm_range=(0.55, 1.84), output_range=(0.51, 2.31),
+        )
+        runs = {
+            "a": lambda: self._folded_cascode(tech, specs).fingerprint(),
+            "b": lambda: self._folded_cascode(tech, other).fingerprint(),
+            "two-stage": lambda: self._two_stage(tech).fingerprint(),
+        }
+        cold = {}
+        for name, run in runs.items():
+            incremental.clear()
+            cold[name] = run()
+        assert cold["a"] != cold["b"]
+        for order in (("a", "b", "two-stage"), ("b", "a", "two-stage")):
+            incremental.clear()
+            assert {name: runs[name]() for name in order} == cold, order
 
 
 class TestWarmStartLru:

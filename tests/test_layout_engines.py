@@ -289,62 +289,6 @@ class TestComposeCache:
 
 
 class TestEstimateMemo:
-    def _sizing(self, tech):
-        from repro.sizing.specs import SizingResult
-
-        return SizingResult(
-            sizes={"m1": (10 * UM, 1 * UM)},
-            currents={"m1": 1e-4},
-            biases={"vb": 1.0},
-        )
-
-    def test_identical_sizing_hits_cache(self, tech):
-        from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.layout.parasitics import ParasiticReport
-
-        calls = []
-
-        def layout_tool(sizing, mode):
-            calls.append(mode)
-
-            class _Result:
-                report = ParasiticReport()
-
-            return _Result()
-
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, layout_tool=layout_tool
-        )
-        sizing = self._sizing(tech)
-        first = synthesizer._estimate(sizing)
-        second = synthesizer._estimate(sizing)
-        assert second is first
-        assert calls == ["estimate"]
-
-    def test_different_sizing_misses(self, tech):
-        from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.layout.parasitics import ParasiticReport
-
-        calls = []
-
-        def layout_tool(sizing, mode):
-            calls.append(dict(sizing.sizes))
-
-            class _Result:
-                report = ParasiticReport()
-
-            return _Result()
-
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, layout_tool=layout_tool
-        )
-        a = self._sizing(tech)
-        b = self._sizing(tech)
-        b.sizes = {"m1": (12 * UM, 1 * UM)}
-        synthesizer._estimate(a)
-        synthesizer._estimate(b)
-        assert len(calls) == 2
-
     def test_non_dict_sizes_bypass_cache(self, tech):
         from repro.core.synthesis import LayoutOrientedSynthesizer
         from repro.layout.parasitics import ParasiticReport
