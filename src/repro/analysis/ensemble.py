@@ -222,21 +222,6 @@ class EnsembleProgram:
         self._swap_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._warm: Optional[np.ndarray] = None
 
-    def fingerprint(self) -> str:
-        """16-hex content hash of the ensemble's inputs.
-
-        Folds the base program's circuit fingerprint with the exact
-        bytes of every member parameter stack, so two ensembles hash
-        equal iff they solve the same batched system — the contract the
-        worker-resident caches in :mod:`repro.runtime.pool` key on.
-        """
-        import hashlib
-
-        digest = hashlib.sha256(self.program.fingerprint().encode())
-        for stack in (self._vth, self._beta, self._w, self._l):
-            digest.update(np.ascontiguousarray(stack).tobytes())
-        return digest.hexdigest()[:16]
-
     # -- Constructors ----------------------------------------------------------
 
     @classmethod

@@ -16,23 +16,20 @@ pool.  Because the draws are fixed before any work is scheduled, results
 are identical for any worker count.
 
 Pooled dispatch goes through the persistent executor runtime
-(:mod:`repro.runtime`): the pool is reused across calls, the sample
-matrices travel by shared memory (:mod:`repro.runtime.shm`), and workers
-hold the compiled feedback program in a content-keyed resident cache so
-repeated dispatches ship a fingerprint instead of the testbench.  Each
-layer degrades independently to the old per-run behavior when disabled,
-and none of them changes a single sampled value.
+(:mod:`repro.runtime`), which reuses one pool across calls.  Every shard
+ships the testbench, the measure function and its own row slices, and
+the worker runs the same chunk function the in-process path runs, so the
+pool never changes a single sampled value.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +41,6 @@ from repro.errors import AnalysisError
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
 from repro.runtime import pool as runtime_pool
-from repro.runtime import shm as runtime_shm
 from repro.telemetry import metrics, monitor
 
 
@@ -168,9 +164,7 @@ class _CompiledOffset:
     calls (``set_mismatch`` deltas are overwritten per sample;
     :meth:`EnsembleProgram.from_mismatch
     <repro.analysis.ensemble.EnsembleProgram.from_mismatch>` takes
-    explicit rows), so one instance may serve any number of shards —
-    which is exactly what the worker-resident cache in
-    :mod:`repro.runtime.pool` does with it.
+    explicit rows), so one instance serves every row of a chunk.
     """
 
     __slots__ = ("names", "program", "out_node", "vcm", "permutation")
@@ -317,10 +311,9 @@ def _run_chunk_traced(
     process boundary.  Tracing never touches the pre-drawn sample rows,
     so results stay bit-identical with tracing on or off.
 
-    This is also the recovery path's workhorse: the in-process fallback
-    in :func:`_run_shards` calls it directly so a shard recovered from a
-    dead worker reports the same spans and counters as one that came
-    home through the pool.
+    Pool workers and the in-process fallback in :func:`_run_shards` both
+    run it, so a shard recovered from a dead worker reports the same
+    spans and counters as one that came home through the pool.
     """
     t0 = time.perf_counter()
     with telemetry.traced_worker(
@@ -330,124 +323,6 @@ def _run_chunk_traced(
             tb, names, vth_rows, beta_rows, measure, crash, ensemble
         )
         tracer.count("mc.samples_measured", hi - lo)
-        metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
-    return stats, tracer.trace_payload()
-
-
-class _ResidentChunk:
-    """Worker-resident Monte-Carlo state: the unpickled testbench plus a
-    lazily compiled :class:`_CompiledOffset`.
-
-    Cached per worker process under the parent's payload content hash
-    (:func:`repro.runtime.pool.resident_object`), so repeated dispatches
-    against a persistent pool ship a fingerprint instead of re-shipping
-    the testbench and recompiling the feedback program per shard.
-    """
-
-    __slots__ = ("tb", "measure", "_compiled")
-
-    def __init__(self, tb: OtaTestbench, measure):
-        self.tb = tb
-        self.measure = measure
-        self._compiled: Optional[_CompiledOffset] = None
-
-    def run(
-        self,
-        names: Sequence[str],
-        vth_rows: np.ndarray,
-        beta_rows: np.ndarray,
-        ensemble: Optional[str],
-    ) -> List[Dict[str, float]]:
-        if self.measure is not None:
-            return _measure_chunk(
-                self.tb, names, vth_rows, beta_rows, self.measure
-            )
-        compiled = self._compiled
-        if compiled is None or compiled.names != tuple(names):
-            compiled = _CompiledOffset(self.tb, names)
-            self._compiled = compiled
-        return compiled.measure(vth_rows, beta_rows, ensemble)
-
-
-def _build_resident_chunk(payload: bytes) -> _ResidentChunk:
-    tb, measure = pickle.loads(payload)
-    return _ResidentChunk(tb, measure)
-
-
-@dataclass(frozen=True)
-class _ShardJob:
-    """Everything one pooled shard needs, picklable by construction.
-
-    ``payload`` is the pickled ``(tb, measure)`` recipe — or ``None``
-    when the parent believes this pool generation already holds the
-    resident state under ``key``.  Sample rows travel either as
-    :class:`~repro.runtime.shm.ShmRef` descriptors (shared-memory
-    transport) or as pickled row slices (fallback); workers compute on
-    value-identical copies in both cases, so the transport never changes
-    results.
-    """
-
-    key: str
-    payload: Optional[bytes]
-    names: Tuple[str, ...]
-    lo: int
-    hi: int
-    index: int
-    ensemble: Optional[str]
-    crash: bool = False
-    vth_ref: Optional[runtime_shm.ShmRef] = None
-    beta_ref: Optional[runtime_shm.ShmRef] = None
-    vth_rows: Optional[np.ndarray] = None
-    beta_rows: Optional[np.ndarray] = None
-
-
-def _job_rows(job: _ShardJob) -> Tuple[np.ndarray, np.ndarray]:
-    if job.vth_ref is not None:
-        return (
-            runtime_shm.read(job.vth_ref, job.lo, job.hi),
-            runtime_shm.read(job.beta_ref, job.lo, job.hi),
-        )
-    return job.vth_rows, job.beta_rows
-
-
-def _run_shard_job(job: _ShardJob):
-    """Pool-side shard entry (untraced parent)."""
-    if job.crash:
-        os._exit(1)
-    try:
-        state = runtime_pool.resident_object(
-            job.key, job.payload, _build_resident_chunk
-        )
-    except runtime_pool.NeedPayload:
-        return runtime_pool.CacheMiss(job.key)
-    vth_rows, beta_rows = _job_rows(job)
-    return state.run(job.names, vth_rows, beta_rows, job.ensemble)
-
-
-def _run_shard_job_traced(job: _ShardJob):
-    """Pool-side shard entry under a worker-local tracer.
-
-    Ships ``(stats, trace_payload)`` home exactly like
-    :func:`_run_chunk_traced`; a cold resident cache short-circuits to a
-    :class:`~repro.runtime.pool.CacheMiss` (the abandoned tracer is
-    dropped with the ``with`` block, so the resend's span is the only
-    one the parent absorbs — trace shape matches the pre-runtime path).
-    """
-    if job.crash:
-        os._exit(1)
-    t0 = time.perf_counter()
-    with telemetry.traced_worker(
-        "mc.shard", index=job.index, lo=job.lo, hi=job.hi
-    ) as tracer:
-        try:
-            state = runtime_pool.resident_object(
-                job.key, job.payload, _build_resident_chunk
-            )
-        except runtime_pool.NeedPayload:
-            return runtime_pool.CacheMiss(job.key)
-        vth_rows, beta_rows = _job_rows(job)
-        stats = state.run(job.names, vth_rows, beta_rows, job.ensemble)
-        tracer.count("mc.samples_measured", job.hi - job.lo)
         metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
     return stats, tracer.trace_payload()
 
@@ -490,9 +365,6 @@ class _ShardDispatch:
         statuses: List[ShardStatus],
         ensemble: Optional[str],
         journal: Optional[RunJournal],
-        key: str,
-        payload: bytes,
-        sample_refs: Optional[Tuple[runtime_shm.ShmRef, runtime_shm.ShmRef]],
         max_workers: int,
     ):
         self.tb = tb
@@ -505,13 +377,8 @@ class _ShardDispatch:
         self.statuses = statuses
         self.ensemble = ensemble
         self.journal = journal
-        self.key = key
-        self.payload = payload
-        self.sample_refs = sample_refs
         self.max_workers = max_workers
         self.tracer = telemetry.current()
-        self._payload_sent: Set[int] = set()
-        self._lease: Optional[runtime_pool.PoolLease] = None
 
     def begin_attempt(self, i: int) -> None:
         self.statuses[i].attempts += 1
@@ -519,37 +386,18 @@ class _ShardDispatch:
     def has_result(self, i: int) -> bool:
         return self.chunks[i] is not None
 
-    def submit(self, pool, lease, i: int, crash: bool, resend: bool):
+    def submit(self, pool, i: int, crash: bool):
         lo, hi = self.spans[i]
-        self._lease = lease
-        # Ship the (tb, measure) payload until this pool generation has
-        # acknowledged it (or when a worker explicitly asked again); a
-        # warm pool gets the content hash alone.
-        ship = resend or not lease.key_shipped(self.key)
-        if ship:
-            self._payload_sent.add(i)
-        else:
-            self._payload_sent.discard(i)
-        if self.sample_refs is not None:
-            vth_ref, beta_ref = self.sample_refs
-            job = _ShardJob(
-                key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i,
-                ensemble=self.ensemble, crash=crash,
-                vth_ref=vth_ref, beta_ref=beta_ref,
+        rows = (self.vth[lo:hi], self.beta[lo:hi])
+        if self.tracer is not None:
+            return pool.submit(
+                _run_chunk_traced, self.tb, self.names, *rows, self.measure,
+                crash, i, lo, hi, self.ensemble,
             )
-        else:
-            job = _ShardJob(
-                key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i,
-                ensemble=self.ensemble, crash=crash,
-                vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
-            )
-        entry = (
-            _run_shard_job_traced if self.tracer is not None
-            else _run_shard_job
+        return pool.submit(
+            _run_chunk, self.tb, self.names, *rows, self.measure, crash,
+            self.ensemble,
         )
-        return pool.submit(entry, job)
 
     def accept(self, i: int, outcome, submit_time: Optional[float]) -> None:
         """Accept one completed shard result (and journal it durably)."""
@@ -572,11 +420,6 @@ class _ShardDispatch:
             self.journal.record(
                 _shard_key(self.spans[i]), self.chunks[i], lo=lo, hi=hi
             )
-        if i in self._payload_sent and self._lease is not None:
-            # At least one worker of this generation built the resident
-            # state; later dispatches ship the hash alone (a cold worker
-            # answers CacheMiss and gets the payload resent).
-            self._lease.mark_shipped(self.key)
 
     def note_timeout(self, i: int, timeout: Optional[float]) -> None:
         self.statuses[i].error = f"shard timed out after {timeout:g} s"
@@ -668,10 +511,6 @@ def _run_shards(
     budget: Optional[Budget],
     ensemble: Optional[str] = None,
     journal: Optional[RunJournal] = None,
-    payload: Optional[bytes] = None,
-    sample_refs: Optional[
-        Tuple[runtime_shm.ShmRef, runtime_shm.ShmRef]
-    ] = None,
 ) -> Tuple[List[Optional[List[Dict[str, float]]]], List[ShardStatus]]:
     """Run every shard through the shared dispatch engine.
 
@@ -686,11 +525,6 @@ def _run_shards(
     reason), every completed shard is appended durably, and a shutdown
     signal drains in-flight workers into the journal before raising
     :class:`~repro.errors.RunInterrupted`.
-
-    ``payload`` is the pre-validated pickled ``(tb, measure)`` recipe —
-    its content hash keys the worker-resident compiled state, so a warm
-    persistent pool receives the hash instead of the testbench.
-    ``sample_refs`` selects the shared-memory row transport.
     """
     chunks: List[Optional[List[Dict[str, float]]]] = [None] * len(spans)
     statuses = [
@@ -708,15 +542,9 @@ def _run_shards(
             )
         else:
             pending.append(i)
-    if payload is None:
-        payload = pickle.dumps((tb, measure))
     dispatch = _ShardDispatch(
         tb, names, vth, beta, measure, spans, chunks, statuses,
-        ensemble, journal,
-        key=hashlib.sha256(payload).hexdigest(),
-        payload=payload,
-        sample_refs=sample_refs,
-        max_workers=max_workers,
+        ensemble, journal, max_workers=max_workers,
     )
     runtime_pool.run_dispatch(
         dispatch, pending, max_workers, shard_timeout, max_shard_retries,
@@ -867,13 +695,11 @@ def run_monte_carlo(
                     journal.record(key, chunks[0], lo=0, hi=runs)
         else:
             try:
-                payload = pickle.dumps((tb, measure))
+                pickle.dumps((tb, measure))
             except Exception as error:
                 # Submitting an unpicklable payload would wedge the pool's
                 # queue feeder (unrecoverable on CPython < 3.12), so refuse
-                # before any worker is spawned.  The validated bytes are
-                # the submission payload itself (and its hash keys the
-                # worker-resident cache) — nothing is pickled twice.
+                # before any worker is spawned.
                 raise AnalysisError(
                     f"Monte-Carlo payload cannot cross the process boundary "
                     f"(workers={workers}): {error!r}; a custom measure "
@@ -885,37 +711,15 @@ def run_monte_carlo(
                 for i in range(workers)
                 if bounds[i + 1] > bounds[i]
             ]
-            # Publish the pre-drawn rows once over shared memory; the
-            # parent owns the segment and unlinks it whatever happens
-            # (the ``finally`` covers failures and journal-guarded
-            # SIGINT/SIGTERM; atexit + the faults kill hook cover hard
-            # exits).  Any publication failure falls back to pickled
-            # row slices — same values, same results.
-            block = None
-            sample_refs = None
-            if runtime_shm.enabled():
-                try:
-                    block = runtime_shm.publish(vth, beta)
-                except runtime_shm.ShmError:
-                    block = None
-                else:
-                    refs = block.refs()
-                    sample_refs = (refs[0], refs[1])
-            try:
-                chunks, statuses = _run_shards(
-                    tb, names, vth, beta, measure, spans,
-                    max_workers=len(spans),
-                    shard_timeout=shard_timeout,
-                    max_shard_retries=max_shard_retries,
-                    budget=budget,
-                    ensemble=ensemble_name,
-                    journal=journal,
-                    payload=payload,
-                    sample_refs=sample_refs,
-                )
-            finally:
-                if block is not None:
-                    block.close()
+            chunks, statuses = _run_shards(
+                tb, names, vth, beta, measure, spans,
+                max_workers=len(spans),
+                shard_timeout=shard_timeout,
+                max_shard_retries=max_shard_retries,
+                budget=budget,
+                ensemble=ensemble_name,
+                journal=journal,
+            )
             result.shards = statuses
             result.n_failed = sum(
                 status.span[1] - status.span[0]

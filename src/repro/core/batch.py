@@ -428,9 +428,8 @@ class _BatchDispatch:
     def has_result(self, i: int) -> bool:
         return self.results[i] is not None
 
-    def submit(self, pool, lease, i: int, crash: bool, resend: bool):
-        # Tasks are unique values, so there is no resident state to
-        # fingerprint: the pre-validated payload bytes ship every time.
+    def submit(self, pool, i: int, crash: bool):
+        # The pre-validated payload bytes ship with every submission.
         if self.tracer is not None:
             return pool.submit(
                 _run_task_payload_traced, self.payloads[i], i, crash

@@ -685,12 +685,11 @@ def _sample_entry(samples: List[float]) -> Dict[str, float]:
 def run_runtime_benchmarks(repeat: int = 3) -> Dict[str, Dict[str, float]]:
     """Time the persistent-runtime wins (the ``repro.runtime`` stack).
 
-    ``mc_dispatch_overhead`` runs the same 2-worker Monte-Carlo dispatch
-    with a dedicated pool per round and pickled sample transport (the
-    pre-runtime behavior; ``legacy`` column) and with the persistent
-    executor plus shared-memory samples (``compiled`` column), so the
-    speedup is pure dispatch overhead — the physics per shard is
-    identical and results are bit-identical in both modes.
+    ``mc_dispatch_overhead`` runs the same 4-worker Monte-Carlo dispatch
+    with a dedicated pool per round (the pre-runtime behavior;
+    ``legacy`` column) and with the persistent pool (``compiled``
+    column), so the speedup is pure pool start-up cost — the work per
+    shard is identical and results are bit-identical in both modes.
 
     ``table1_warm_vs_cold`` runs two cheap Table-1 cases against an
     empty cross-run artifact cache (``legacy``) and then re-runs them
@@ -702,22 +701,19 @@ def run_runtime_benchmarks(repeat: int = 3) -> Dict[str, Dict[str, float]]:
     from repro.analysis.montecarlo import run_monte_carlo
     from repro.runtime import artifacts
     from repro.runtime import pool as runtime_pool
-    from repro.runtime import shm as runtime_shm
 
     tb = default_testbench()
 
     def mc():
         return run_monte_carlo(tb, runs=64, seed=1234, workers=4)
 
-    # Per-round pools, pickled samples: every timed call pays four
-    # process spawns plus a testbench + sample-rows pickle per shard.
-    with runtime_pool.persistent(False), runtime_shm.use(False):
+    # Per-round pools: every timed call pays four process spawns.
+    with runtime_pool.persistent(False):
         runtime_pool.shutdown()
         per_round = time_call(mc, repeat=repeat, warmup=0)
-    # Persistent pool, shared-memory samples: the warmup call creates
-    # the pool and ships the compiled-state payload once; the timed
-    # calls measure reuse.
-    with runtime_pool.persistent(True), runtime_shm.use(True):
+    # Persistent pool: the warmup call creates the pool; the timed calls
+    # measure reuse.
+    with runtime_pool.persistent(True):
         runtime_pool.shutdown()
         warm_pool = time_call(mc, repeat=repeat, warmup=1)
     results = {

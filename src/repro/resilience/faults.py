@@ -71,27 +71,6 @@ _ACTIVE: List["Fault"] = []
 #: conventional 128+9 so the CI smoke job can assert on it).
 KILL_EXIT_CODE = 137
 
-#: Callbacks invoked (best-effort) before an ``action="crash"`` hard
-#: kill.  ``os._exit`` skips ``finally`` blocks and ``atexit`` handlers,
-#: so resources whose lifetime outlives the process — shared-memory
-#: segments, most notably — register an emergency release here.  Hooks
-#: must be idempotent and must not raise.
-_KILL_HOOKS: List[object] = []
-
-
-def register_kill_hook(hook) -> None:
-    """Register ``hook()`` to run before a hard process kill."""
-    if hook not in _KILL_HOOKS:
-        _KILL_HOOKS.append(hook)
-
-
-def unregister_kill_hook(hook) -> None:
-    try:
-        _KILL_HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
 class SimulatedKill(BaseException):
     """In-process stand-in for a hard process kill.
 
@@ -179,11 +158,6 @@ def maybe_kill(site: str = "process.kill", index: Optional[int] = None) -> None:
     if fault is None:
         return
     if fault.action == "crash":
-        for hook in list(_KILL_HOOKS):
-            try:
-                hook()
-            except Exception:  # noqa: BLE001 - dying anyway; best effort
-                pass
         os._exit(KILL_EXIT_CODE)
     raise SimulatedKill(f"simulated process kill at {site!r}")
 

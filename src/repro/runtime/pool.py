@@ -11,10 +11,11 @@ worker.  This module hoists all of that into one place:
   wins).  A lease over a pool that saw a timeout or a worker death is
   discarded — a broken pool must never be reused — and the next round
   acquires a fresh one, which is exactly the old per-round behavior.
-  Disable with ``--no-persistent-pool`` / ``REPRO_NO_PERSISTENT_POOL``
-  (or scoped, with :func:`persistent`) to get a dedicated pool per
-  round again; results are bit-identical either way because worker
-  count and pool lifetime never feed back into the computation.
+  The scoped :func:`persistent` override gives a dedicated pool per
+  round again (the reference side of the dispatch benchmark and the
+  pool-mode determinism test); results are bit-identical either way
+  because worker count and pool lifetime never feed back into the
+  computation.
 
 - :func:`run_dispatch` is the one dispatch loop both
   :mod:`repro.core.batch` and :mod:`repro.analysis.montecarlo` are thin
@@ -25,35 +26,15 @@ worker.  This module hoists all of that into one place:
   journal drain harvests completed futures on SIGINT/SIGTERM before
   :class:`~repro.errors.RunInterrupted` propagates, and budget checks
   run at round and fallback boundaries.
-
-- :func:`resident_object` is the worker-side content-keyed cache:
-  instead of re-shipping and recompiling a testbench per shard, tasks
-  carry a content hash plus an optional payload.  A worker that already
-  holds the compiled state under that key skips the rebuild; a worker
-  asked to work without a payload it does not hold answers with a
-  :class:`CacheMiss` sentinel and the dispatcher resubmits with the
-  payload attached (an uncounted round: cache misses are not failures).
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro import telemetry
 from repro.resilience import faults
@@ -61,47 +42,30 @@ from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal, ignore_sigint
 from repro.telemetry import metrics
 
-#: Environment kill-switch: any non-empty value disables pool reuse.
-NO_PERSISTENT_POOL_ENV = "REPRO_NO_PERSISTENT_POOL"
-
 
 # --------------------------------------------------------------------------
 # Persistent executor
 
 
 class _PoolState:
-    """The process-wide executor plus its payload-shipping ledger."""
+    """The process-wide executor and its generation."""
 
-    __slots__ = ("executor", "max_workers", "generation", "shipped")
+    __slots__ = ("executor", "max_workers", "generation")
 
     def __init__(self, executor: Any, max_workers: int, generation: int):
         self.executor = executor
         self.max_workers = max_workers
         self.generation = generation
-        #: Content keys whose payload at least one worker of this pool
-        #: generation has acknowledged (see :meth:`PoolLease.mark_shipped`).
-        self.shipped: Set[str] = set()
 
 
 _STATE: Optional[_PoolState] = None
 _GENERATION = 0
-_DEFAULT: Optional[bool] = None
 _OVERRIDE: List[bool] = []
 
 
 def persistent_enabled() -> bool:
     """Whether :func:`acquire` reuses the process-wide executor."""
-    if _OVERRIDE:
-        return _OVERRIDE[-1]
-    if _DEFAULT is not None:
-        return _DEFAULT
-    return not os.environ.get(NO_PERSISTENT_POOL_ENV)
-
-
-def set_persistent(flag: Optional[bool]) -> None:
-    """Set the process-wide default (``None`` restores the env check)."""
-    global _DEFAULT
-    _DEFAULT = flag
+    return _OVERRIDE[-1] if _OVERRIDE else True
 
 
 @contextmanager
@@ -127,28 +91,10 @@ class PoolLease:
     executor: Any
     persistent: bool
     state: Optional[_PoolState] = None
-    _local_shipped: Set[str] = field(default_factory=set)
 
     @property
     def generation(self) -> int:
         return self.state.generation if self.state is not None else -1
-
-    def _shipped(self) -> Set[str]:
-        return (
-            self.state.shipped if self.state is not None
-            else self._local_shipped
-        )
-
-    def key_shipped(self, key: str) -> bool:
-        """Whether this pool's workers have seen ``key``'s payload."""
-        return key in self._shipped()
-
-    def mark_shipped(self, key: str) -> None:
-        self._shipped().add(key)
-
-    def unship(self, key: str) -> None:
-        """Forget ``key`` (a worker reported a :class:`CacheMiss`)."""
-        self._shipped().discard(key)
 
     def release(self, wait: bool = True) -> None:
         """Return the lease after a clean round."""
@@ -226,82 +172,6 @@ atexit.register(shutdown)
 
 
 # --------------------------------------------------------------------------
-# Worker-resident content-keyed object cache
-
-
-class CacheMiss:
-    """Picklable worker answer: "I don't hold ``key``, resend the payload".
-
-    Crossing the pool boundary as a *result* (never an exception) keeps
-    the miss distinct from every failure path the dispatcher recovers
-    from.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __reduce__(self):
-        return (CacheMiss, (self.key,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CacheMiss({self.key!r})"
-
-
-class NeedPayload(Exception):
-    """Raised worker-side by :func:`resident_object` on a cold cache.
-
-    Worker entry points convert it into a returned :class:`CacheMiss`;
-    it never crosses the process boundary itself.
-    """
-
-    def __init__(self, key: str):
-        super().__init__(key)
-        self.key = key
-
-
-#: Compiled state cached per worker process, keyed on content hashes.
-#: Bounded: entries are distinct testbench/measure payloads, a handful
-#: per realistic session, but a runaway caller must not grow worker RSS.
-_RESIDENT: "OrderedDict[str, Any]" = OrderedDict()
-_RESIDENT_CAP = 8
-
-
-def resident_object(
-    key: str, payload: Optional[bytes], build: Callable[[bytes], Any]
-) -> Any:
-    """The worker-resident object under ``key``, building it on demand.
-
-    ``payload`` is the serialized construction recipe (or ``None`` when
-    the parent believes this pool already holds the object); ``build``
-    turns the raw bytes into the resident state.  Raises
-    :class:`NeedPayload` when asked to build without a payload.
-    """
-    entry = _RESIDENT.get(key)
-    if entry is not None:
-        _RESIDENT.move_to_end(key)
-        telemetry.count("runtime.resident.hit")
-        return entry
-    if payload is None:
-        raise NeedPayload(key)
-    telemetry.count("runtime.resident.miss")
-    entry = build(payload)
-    _RESIDENT[key] = entry
-    while len(_RESIDENT) > _RESIDENT_CAP:
-        _RESIDENT.popitem(last=False)
-    return entry
-
-
-def resident_cache_size() -> int:
-    return len(_RESIDENT)
-
-
-def clear_resident() -> None:
-    _RESIDENT.clear()
-
-
-# --------------------------------------------------------------------------
 # The shared dispatch engine
 
 
@@ -343,7 +213,7 @@ def run_dispatch(
     The client owns unit semantics; the engine owns the lifecycle.  A
     client provides::
 
-        submit(executor, lease, i, crash, resend) -> Future
+        submit(executor, i, crash) -> Future
         accept(i, outcome, submit_time)   # harvest one result
         has_result(i) -> bool             # for the journal drain
         begin_attempt(i)                  # attempts ledger
@@ -354,11 +224,9 @@ def run_dispatch(
         fallback(i)                       # in-process recovery
 
     A unit whose worker dies or times out is resubmitted on a fresh pool
-    up to ``max_retries`` times and then handed to ``fallback``.  A
-    worker answering :class:`CacheMiss` gets its unit resubmitted with
-    the payload forced — on the same attempt, without consuming a retry
-    round, because a cold cache is not a failure.  Whole-dispatch wall
-    time lands in the ``runtime.dispatch.seconds`` histogram.
+    up to ``max_retries`` times and then handed to ``fallback``.
+    Whole-dispatch wall time lands in the ``runtime.dispatch.seconds``
+    histogram.
     """
     from concurrent.futures import BrokenExecutor
     from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -366,15 +234,12 @@ def run_dispatch(
     tracer = telemetry.current()
     t_start = time.perf_counter()
     rounds_used = 0
-    resend: Set[int] = set()
     try:
         while pending and rounds_used <= max_retries:
-            if any(i not in resend for i in pending):
-                rounds_used += 1
+            rounds_used += 1
             if budget is not None:
                 budget.check(sites.budget_round, pending=len(pending))
             retry: List[int] = []
-            next_resend: Set[int] = set()
             lease = acquire(min(jobs, len(pending)))
             pool = lease.executor
             had_timeout = False
@@ -388,20 +253,15 @@ def run_dispatch(
                         # The pool broke mid-submission; this unit was
                         # never attempted — carry it to the next round.
                         retry.append(i)
-                        if i in resend:
-                            next_resend.add(i)
                         continue
                     crash = (
                         faults.fire(sites.fault_site, index=i) is not None
                     )
-                    if i not in resend:
-                        client.begin_attempt(i)
+                    client.begin_attempt(i)
                     if tracer is not None:
                         submit_times[i] = tracer.now()
                     try:
-                        futures[i] = client.submit(
-                            pool, lease, i, crash, i in resend
-                        )
+                        futures[i] = client.submit(pool, i, crash)
                     except (BrokenExecutor, OSError) as error:
                         # Only a *warm* pool can break while we are
                         # still submitting: an earlier unit's worker is
@@ -426,20 +286,12 @@ def run_dispatch(
                                 and not done.cancelled()
                                 and done.exception() is None
                             ):
-                                outcome = done.result()
-                                if not isinstance(outcome, CacheMiss):
-                                    client.accept(
-                                        j, outcome, submit_times.get(j)
-                                    )
+                                client.accept(
+                                    j, done.result(), submit_times.get(j)
+                                )
                         journal.check_interrupt(sites.drain_site)
                     try:
                         outcome = future.result(timeout=unit_timeout)
-                        if isinstance(outcome, CacheMiss):
-                            lease.unship(outcome.key)
-                            telemetry.count("runtime.resident.resend")
-                            next_resend.add(i)
-                            retry.append(i)
-                            continue
                         client.accept(i, outcome, submit_times.get(i))
                     except client.transport_exceptions as error:
                         # A result that cannot cross back can never
@@ -471,7 +323,6 @@ def run_dispatch(
             else:
                 lease.release()
             pending = sorted(retry)
-            resend = next_resend
     finally:
         metrics.observe(
             "runtime.dispatch.seconds", time.perf_counter() - t_start

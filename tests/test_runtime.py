@@ -1,35 +1,25 @@
-"""Executor runtime: persistent pool, shm transport, artifact cache.
+"""Executor runtime: persistent pool, artifact cache.
 
 The contracts under test: the persistent executor is reused across
-dispatches and discarded whenever it may be wedged; worker-resident
-cache misses are resent without corrupting shard statuses; shared-memory
-segments never outlive a run — clean, failing, crash-killed or
-SIGTERM'd; and the cross-run artifact cache serves bit-identical results
-(warm and cold fingerprints equal) while self-healing corrupt entries.
+dispatches and discarded whenever it may be wedged; Monte-Carlo results
+are bit-identical for any worker count and pool mode, also when one warm
+pool serves distinct testbenches in turn; and the cross-run artifact
+cache serves bit-identical results (warm and cold fingerprints equal)
+while self-healing corrupt entries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import signal
-import subprocess
-import sys
-import time
 
-import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.core.batch import BatchTask, run_batch
-from repro.resilience import faults
+from repro.perf import two_stage_testbench
 from repro.runtime import artifacts
 from repro.runtime import pool as runtime_pool
-from repro.runtime import shm as runtime_shm
 from repro.sizing.specs import ParasiticMode
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def _case_tasks(specs, modes=(ParasiticMode.NONE, ParasiticMode.SINGLE_FOLD)):
@@ -38,25 +28,6 @@ def _case_tasks(specs, modes=(ParasiticMode.NONE, ParasiticMode.SINGLE_FOLD)):
                   mode=mode.name)
         for mode in modes
     ]
-
-
-def _dev_shm() -> set:
-    """Current /dev/shm entries (empty set where the mount is absent)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return set()
-
-
-def _run_script(body: str, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-c", body], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,198 +98,17 @@ class TestPersistentPool:
             runtime_pool.shutdown()
 
 
-class TestResidentCacheResend:
-    def test_stale_shipped_key_resends_payload_statuses_stay_ok(
-        self, hand_testbench
-    ):
-        """A pool whose workers never saw the payload, but whose ledger
-        claims they did, answers ``CacheMiss``; the dispatcher resends on
-        an uncounted round so statuses remain ``ok``."""
-        baseline = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=1)
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            lease = runtime_pool.acquire(2)  # fresh pool, cold workers
-            lease.release()
-            payload = pickle.dumps((hand_testbench, None))
-            lease.mark_shipped(hashlib.sha256(payload).hexdigest())
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
-            runtime_pool.shutdown()
-        assert result.samples == baseline.samples
-        assert [s.status for s in result.shards] == ["ok", "ok"]
-        assert all(s.attempts == 1 for s in result.shards)
-
-    def test_resident_object_round_trips(self):
-        runtime_pool.clear_resident()
-        built = []
-
-        def build(payload):
-            built.append(payload)
-            return pickle.loads(payload)
-
-        payload = pickle.dumps({"a": 1})
-        first = runtime_pool.resident_object("k1", payload, build)
-        again = runtime_pool.resident_object("k1", None, build)
-        assert first is again and built == [payload]
-        with pytest.raises(runtime_pool.NeedPayload):
-            runtime_pool.resident_object("k2", None, build)
-        runtime_pool.clear_resident()
-
-    def test_resident_cache_is_bounded(self):
-        runtime_pool.clear_resident()
-        for i in range(20):
-            runtime_pool.resident_object(
-                f"key{i}", pickle.dumps(i), pickle.loads
-            )
-        assert runtime_pool.resident_cache_size() <= 8
-        runtime_pool.clear_resident()
-
-    def test_program_fingerprints_key_compiled_state(self, hand_testbench):
-        """The content-keyed caches hang off the compiled programs'
-        fingerprints: same circuit, same key; different circuit,
-        different key."""
-        from repro.analysis.stamps import StampProgram
-
-        one = StampProgram(hand_testbench.circuit)
-        two = StampProgram(hand_testbench.circuit)
-        assert one.fingerprint() == two.fingerprint()
-        other = hand_testbench.circuit.clone("runtime_fp")
-        other.add_vsource("_fp", hand_testbench.output_net, "0", dc=0.0)
-        assert StampProgram(other).fingerprint() != one.fingerprint()
-
-        from repro.analysis.ensemble import EnsembleProgram
-
-        n = len(one.mos_names)
-        rows = np.zeros((3, n))
-        stacked = EnsembleProgram.from_mismatch(one, rows, rows)
-        assert stacked.fingerprint() == \
-            EnsembleProgram.from_mismatch(two, rows, rows).fingerprint()
-        skewed = EnsembleProgram.from_mismatch(one, rows + 1e-4, rows)
-        assert skewed.fingerprint() != stacked.fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport lifecycle
-# ---------------------------------------------------------------------------
-
-
-needs_shm = pytest.mark.skipif(
-    not runtime_shm.available(), reason="no shared-memory support"
-)
-
-
-@needs_shm
-class TestShmLifecycle:
-    def test_publish_read_roundtrip(self):
-        vth = np.arange(24, dtype=np.float64).reshape(6, 4)
-        beta = np.linspace(-1.0, 1.0, 24).reshape(6, 4)
-        with runtime_shm.publish(vth, beta) as block:
-            ref_vth, ref_beta = block.refs()
-            np.testing.assert_array_equal(runtime_shm.read(ref_vth), vth)
-            np.testing.assert_array_equal(
-                runtime_shm.read(ref_vth, 2, 5), vth[2:5]
-            )
-            np.testing.assert_array_equal(
-                runtime_shm.read(ref_beta, 0, 1), beta[0:1]
-            )
-            assert runtime_shm.live_segments() == [ref_vth.name]
-        assert runtime_shm.live_segments() == []
-        assert ref_vth.name not in _dev_shm()
-
-    def test_close_is_idempotent(self):
-        block = runtime_shm.publish(np.zeros(3))
-        block.close()
-        block.close()
-        assert runtime_shm.live_segments() == []
-
-    def test_clean_mc_run_leaks_nothing(self, hand_testbench):
-        before = _dev_shm()
-        with runtime_shm.use(True):
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
-        assert result.n_failed == 0
-        assert runtime_shm.live_segments() == []
-        assert _dev_shm() - before == set()
-
-    def test_shard_failure_leaks_nothing(self, hand_testbench):
-        before = _dev_shm()
-        with runtime_shm.use(True):
-            with faults.inject("mc.worker", index=0, times=3):
-                result = run_monte_carlo(
-                    hand_testbench, runs=8, seed=7, workers=2,
-                    max_shard_retries=1,
-                )
-        assert result.shards[0].status == "in-process"
-        assert runtime_shm.live_segments() == []
-        assert _dev_shm() - before == set()
-
-    def test_crash_kill_runs_emergency_unlink(self):
-        """``REPRO_FAULTS`` ``action="crash"`` dies via ``os._exit`` —
-        no ``finally``, no ``atexit`` — so the faults kill-hook must
-        unlink the published segment before the process dies."""
-        proc = _run_script(
-            "import numpy as np\n"
-            "from repro.resilience import faults\n"
-            "from repro.runtime import shm\n"
-            "faults.arm_from_env()\n"
-            "block = shm.publish(np.zeros((64, 8)))\n"
-            "print(block.refs()[0].name, flush=True)\n"
-            "faults.maybe_kill()\n"
-            "raise SystemExit('kill fault did not fire')\n",
-            env_extra={"REPRO_FAULTS": "process.kill:at=1,action=crash"},
-        )
-        assert proc.returncode == faults.KILL_EXIT_CODE, proc.stderr
-        name = proc.stdout.strip()
-        assert name
-        assert name not in _dev_shm()
-
-    def test_sigterm_leaves_no_segment_behind(self):
-        """A SIGTERM the run never handles is mopped up by the stdlib
-        resource tracker, which outlives the parent for this case."""
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-c",
-                "import signal, sys\n"
-                "import numpy as np\n"
-                "from repro.runtime import shm\n"
-                "block = shm.publish(np.zeros((64, 8)))\n"
-                "print(block.refs()[0].name, flush=True)\n"
-                "signal.pause()\n",
-            ],
-            env={**os.environ, "PYTHONPATH": SRC},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            name = proc.stdout.readline().strip()
-            assert name
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.stdout.close()
-            proc.stderr.close()
-        # The tracker is a separate process; give its sweep a moment.
-        deadline = time.monotonic() + 20.0
-        while name in _dev_shm() and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert name not in _dev_shm()
-
-
-class TestShmDeterminism:
+class TestMcDeterminism:
     @pytest.fixture(scope="class")
     def baseline(self, hand_testbench):
         return run_monte_carlo(hand_testbench, runs=8, seed=7, workers=1)
 
-    @needs_shm
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("shm_on", [True, False])
-    def test_bit_identical_for_any_transport_and_worker_count(
-        self, hand_testbench, baseline, workers, shm_on
+    def test_bit_identical_for_any_worker_count(
+        self, hand_testbench, baseline, workers
     ):
-        with runtime_shm.use(shm_on):
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=workers)
+        result = run_monte_carlo(hand_testbench, runs=8, seed=7,
+                                 workers=workers)
         assert result.samples == baseline.samples  # bit-identical
         assert result.mean("offset_voltage") == \
             baseline.mean("offset_voltage")
@@ -332,6 +122,28 @@ class TestShmDeterminism:
             result = run_monte_carlo(hand_testbench, runs=8, seed=7,
                                      workers=2)
         assert result.samples == baseline.samples
+
+    def test_warm_pool_serves_alternating_testbenches(self, hand_testbench):
+        """The ``yield`` traffic shape: one warm pool runs two distinct
+        testbenches in the order A, B, A; every result matches its
+        serial run bit for bit and no shard needs recovery."""
+        benches = {"a": hand_testbench, "b": two_stage_testbench()}
+        serial = {
+            name: run_monte_carlo(tb, runs=8, seed=7, workers=1).samples
+            for name, tb in benches.items()
+        }
+        assert serial["a"] != serial["b"]
+        with runtime_pool.persistent(True):
+            runtime_pool.shutdown()
+            generations = set()
+            for name in ("a", "b", "a"):
+                result = run_monte_carlo(benches[name], runs=8, seed=7,
+                                         workers=2)
+                generations.add(runtime_pool.pool_generation())
+                assert result.samples == serial[name]
+                assert [s.status for s in result.shards] == ["ok", "ok"]
+            assert len(generations) == 1  # one warm pool served all three
+            runtime_pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
