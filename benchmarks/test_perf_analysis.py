@@ -19,15 +19,12 @@ import pytest
 
 from repro.analysis.ac import ac_sweep
 from repro.analysis.dcop import solve_dc
-from repro.analysis.engine import (
-    COMPILED,
-    LEGACY,
-    PERSAMPLE,
-    STACKED,
-    ensemble_engine,
-    use_engine,
+from repro.analysis.engine import COMPILED, LEGACY, use_engine
+from repro.analysis.montecarlo import (
+    _CompiledOffset,
+    draw_mismatch_samples,
+    run_monte_carlo,
 )
-from repro.analysis.montecarlo import run_monte_carlo
 from repro.perf import (
     BENCH_FILENAME,
     default_testbench,
@@ -99,16 +96,23 @@ def test_benchmark_monte_carlo_50(benchmark, bench_tb, engine):
     assert len(result.samples["offset_voltage"]) == 50
 
 
-@pytest.mark.parametrize("mode", (PERSAMPLE, STACKED))
+def _per_sample_200(tb):
+    names, vth, beta = draw_mismatch_samples(tb.circuit, 200, 1234)
+    return _CompiledOffset(tb, names).measure_per_sample(vth, beta)
+
+
+def _stacked_200(tb):
+    return run_monte_carlo(tb, runs=200, seed=1234).samples["offset_voltage"]
+
+
+@pytest.mark.parametrize("mode", ("per-sample", "stacked"))
 def test_benchmark_monte_carlo_200_ensemble(benchmark, bench_tb, mode):
     """200 offset samples, per-sample loop vs one stacked (K, n, n) solve."""
-    with ensemble_engine.use(mode):
-        result = benchmark.pedantic(
-            run_monte_carlo, args=(bench_tb,),
-            kwargs={"runs": 200, "seed": 1234},
-            rounds=1, iterations=1, warmup_rounds=0,
-        )
-    assert len(result.samples["offset_voltage"]) == 200
+    run = _per_sample_200 if mode == "per-sample" else _stacked_200
+    samples = benchmark.pedantic(
+        run, args=(bench_tb,), rounds=1, iterations=1, warmup_rounds=0
+    )
+    assert len(samples) == 200
 
 
 def test_write_bench_record():
@@ -127,7 +131,6 @@ def test_write_bench_record():
     assert results["synthesize_case4"]["speedup"] > 1.5
     # Acceptance floor is 3x on an idle machine; 2x absorbs CI noise.
     assert results["monte_carlo_200_ensemble"]["speedup"] > 2.0
-    assert "corners_batch_ensemble" in results
     # Executor-runtime floors (acceptance: 2x dispatch, 3x warm on an
     # idle machine; loosened here so the harness is not flaky under
     # CI load).

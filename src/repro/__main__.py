@@ -345,7 +345,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         reports = VerificationInterface().verify_corners(
             synthesizer.plan, outcome.sizing, specs
         )
-        print("corner verification (stacked ensemble):")
+        print("corner verification:")
         for name, report in reports.items():
             if report.metrics is None:
                 print(f"  {name}  FAIL  ({report.failure_reason})")
@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument(
         "--verify-corners", action="store_true",
         help="re-verify the synthesized sizing at the five process "
-             "corners as one stacked ensemble measurement")
+             "corners")
     synthesize.add_argument(
         "--fingerprint", action="store_true",
         help="print the outcome's content fingerprint (a short digest of "

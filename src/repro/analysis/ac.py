@@ -191,52 +191,6 @@ def ac_sweep(
     return AcSolution(frequencies=freq_array, index=index, solutions=solutions)
 
 
-def ac_sweep_ensemble(
-    members: Iterable[Tuple[Circuit, DcSolution]],
-    frequencies: Iterable[float],
-    overrides: Optional[Dict[str, complex]] = None,
-) -> "list[AcSolution]":
-    """One stacked ``(K, F, n, n)`` solve over K linearised circuits.
-
-    Every member must linearise to the same system size (same node and
-    branch layout — e.g. the same testbench at different process corners
-    or operating points); the shared ``overrides`` drive is applied to
-    each.  Matches K independent compiled :func:`ac_sweep` calls bit for
-    bit, because the stacked solve still runs LAPACK per (member,
-    frequency) matrix.
-    """
-    from repro.analysis.stamps import LinearSystem, solve_stacked_systems
-
-    pairs = list(members)
-    if not pairs:
-        raise AnalysisError("ac_sweep_ensemble needs at least one member")
-    freq_array = np.asarray(list(frequencies), dtype=float)
-    if freq_array.size == 0:
-        raise AnalysisError("ac_sweep needs at least one frequency")
-    if np.any(freq_array <= 0.0):
-        raise AnalysisError("AC frequencies must be positive")
-    systems = [LinearSystem(circuit, dc) for circuit, dc in pairs]
-    size = systems[0].size
-    for system in systems[1:]:
-        if system.size != size:
-            raise AnalysisError(
-                "ensemble AC members must share one system size; got "
-                f"{system.size} vs {size}"
-            )
-    rhs_stack = np.stack(
-        [system.rhs(overrides) for system in systems]
-    )[:, :, None]
-    solved = solve_stacked_systems(systems, freq_array, rhs_stack)
-    return [
-        AcSolution(
-            frequencies=freq_array.copy(),
-            index=system.index,
-            solutions=solved[k, :, :, 0],
-        )
-        for k, system in enumerate(systems)
-    ]
-
-
 def transfer_function(
     circuit: Circuit,
     dc: DcSolution,

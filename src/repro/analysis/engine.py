@@ -19,14 +19,10 @@ how ``python -m repro bench`` measures before/after on identical code paths.
 :func:`default_engine`, :func:`set_default_engine`, :func:`resolve_engine`
 and :func:`use_engine` are the bound methods of :data:`analysis_engine`.
 
-A second, independent knob selects how *ensembles* of parameter vectors
-(Monte-Carlo mismatch samples, process corners) are evaluated on top of
-the compiled engine:
-
-* ``"stacked"`` — :mod:`repro.analysis.ensemble` solves all K members as
-  one batched ``(K, n, n)`` Newton with per-member convergence masking;
-* ``"per-sample"`` — the original one-solve-per-member loop, kept as the
-  golden reference (equivalence pinned sample-for-sample at rtol 1e-9).
+Monte-Carlo offset samples on the compiled engine always solve as one
+stacked ensemble (:mod:`repro.analysis.ensemble`); there is no switch for
+that.  Its per-sample reference is a method tests and the benchmark call
+by name.
 """
 
 from __future__ import annotations
@@ -37,15 +33,12 @@ from typing import Iterator, Optional, Tuple
 COMPILED = "compiled"
 LEGACY = "legacy"
 
-STACKED = "stacked"
-PERSAMPLE = "per-sample"
-
 
 class EngineSwitch:
     """One process-wide engine knob with scoped override support.
 
-    Every engine selection in the package — the analysis engine and the
-    ensemble engine here, the extraction / DRC / incremental switches of
+    Every engine selection in the package — the analysis engine here and
+    the extraction / DRC / incremental switches of
     :mod:`repro.layout.engine` — is an instance of this class.
     """
 
@@ -90,9 +83,6 @@ class EngineSwitch:
 
 #: The compiled/legacy selection every analysis entry point resolves.
 analysis_engine = EngineSwitch("analysis", COMPILED, (COMPILED, LEGACY))
-
-#: How K-member parameter ensembles are solved on the compiled engine.
-ensemble_engine = EngineSwitch("ensemble", STACKED, (STACKED, PERSAMPLE))
 
 default_engine = analysis_engine.default
 set_default_engine = analysis_engine.set_default

@@ -242,12 +242,7 @@ def _metrics_from_sweeps(
     output_resistance: float,
     noise,
 ) -> OtaMetrics:
-    """Fold the raw sweeps into :class:`OtaMetrics`.
-
-    Shared by the per-testbench path above and the stacked ensemble
-    measurement (:func:`repro.analysis.ensemble.measure_ota_ensemble`),
-    which produces the same sweeps from one batched solve.
-    """
+    """Fold the raw sweeps of either engine into :class:`OtaMetrics`."""
     gbw = dm.unity_gain_frequency()
     if gbw is None:
         raise AnalysisError(

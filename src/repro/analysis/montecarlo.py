@@ -10,10 +10,11 @@ re-run per sample.
 The compiled engine draws **all** samples up front (one vectorized RNG
 call whose stream matches the legacy per-device draw order), compiles the
 feedback circuit into one :class:`~repro.analysis.stamps.StampProgram`
-and re-biases it per sample instead of re-cloning and re-stamping; with
-``workers=N`` the pre-drawn sample rows are partitioned over a process
-pool.  Because the draws are fixed before any work is scheduled, results
-are identical for any worker count.
+and solves a chunk of sample rows as one stacked ensemble Newton
+(:mod:`repro.analysis.ensemble`) instead of re-cloning and re-stamping
+per sample; with ``workers=N`` the pre-drawn sample rows are partitioned
+over a process pool.  Because the draws are fixed before any work is
+scheduled, results are identical for any worker count.
 
 Pooled dispatch goes through the persistent executor runtime
 (:mod:`repro.runtime`), which reuses one pool across calls.  Every shard
@@ -160,11 +161,11 @@ class _CompiledOffset:
     Holds the feedback-loop :class:`~repro.analysis.stamps.StampProgram`
     plus the permutation that maps pre-drawn sample columns (circuit
     device order) onto program device order.  Compilation is a pure
-    function of the testbench, and :meth:`measure` is stateless across
-    calls (``set_mismatch`` deltas are overwritten per sample;
-    :meth:`EnsembleProgram.from_mismatch
+    function of the testbench, and both measurements are stateless across
+    calls (:meth:`EnsembleProgram.from_mismatch
     <repro.analysis.ensemble.EnsembleProgram.from_mismatch>` takes
-    explicit rows), so one instance serves every row of a chunk.
+    explicit rows; ``set_mismatch`` deltas are overwritten per sample),
+    so one instance serves every row of a chunk.
     """
 
     __slots__ = ("names", "program", "out_node", "vcm", "permutation")
@@ -185,36 +186,33 @@ class _CompiledOffset:
         )
 
     def measure(
-        self,
-        vth_rows: np.ndarray,
-        beta_rows: np.ndarray,
-        ensemble: Optional[str] = None,
+        self, vth_rows: np.ndarray, beta_rows: np.ndarray
     ) -> List[Dict[str, float]]:
         """Offset samples for a chunk of pre-drawn rows.
 
-        On the stacked ensemble engine (the default) every row becomes
-        one member of a single batched ``(K, n, n)`` Newton solve; the
-        per-sample loop below is the golden reference, selected via
-        :data:`~repro.analysis.engine.ensemble_engine`.
+        Every row becomes one member of a single batched ``(K, n, n)``
+        Newton solve; :meth:`measure_per_sample` is the reference it
+        matches sample for sample.
         """
-        from repro.analysis.engine import STACKED, ensemble_engine
+        from repro.analysis.ensemble import EnsembleProgram
 
-        if ensemble_engine.resolve(ensemble) == STACKED and len(vth_rows):
-            from repro.analysis.ensemble import EnsembleProgram
+        solution = EnsembleProgram.from_mismatch(
+            self.program,
+            np.asarray(vth_rows)[:, self.permutation],
+            np.asarray(beta_rows)[:, self.permutation],
+        ).solve()
+        # The per-sample loop raises at the first failing sample; match
+        # that contract so shard recovery stays unchanged.
+        solution.raise_on_failure()
+        return [
+            {"offset_voltage": float(v[self.out_node]) - self.vcm}
+            for v in solution.voltages
+        ]
 
-            stacked = EnsembleProgram.from_mismatch(
-                self.program,
-                np.asarray(vth_rows)[:, self.permutation],
-                np.asarray(beta_rows)[:, self.permutation],
-            )
-            solution = stacked.solve()
-            # The per-sample loop raises at the first failing sample;
-            # match that contract so shard recovery stays unchanged.
-            solution.raise_on_failure()
-            return [
-                {"offset_voltage": float(v[self.out_node]) - self.vcm}
-                for v in solution.voltages
-            ]
+    def measure_per_sample(
+        self, vth_rows: np.ndarray, beta_rows: np.ndarray
+    ) -> List[Dict[str, float]]:
+        """Reference for :meth:`measure`: one scalar DC solve per row."""
         stats: List[Dict[str, float]] = []
         for vth_row, beta_row in zip(vth_rows, beta_rows):
             self.program.set_mismatch(
@@ -233,15 +231,11 @@ def _offset_chunk(
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
     crash: bool = False,
-    ensemble: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Default measurement (input offset) for a chunk of sample rows.
 
     One compiled feedback program (:class:`_CompiledOffset`) is shared
-    by the whole chunk.  ``ensemble`` carries the parent's resolved
-    engine across the process-pool boundary (a worker is a fresh
-    interpreter, so the process-wide default would not follow a scoped
-    override in the parent).
+    by the whole chunk.
 
     Module-level so process-pool workers can pickle it.  ``crash`` is the
     fault-injection hook: the parent's registry decides a shard should die
@@ -250,7 +244,7 @@ def _offset_chunk(
     """
     if crash:
         os._exit(1)
-    return _CompiledOffset(tb, names).measure(vth_rows, beta_rows, ensemble)
+    return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
 
 
 def _measure_chunk(
@@ -277,7 +271,6 @@ def _run_chunk(
     beta_rows: np.ndarray,
     measure: Optional[Callable[[OtaTestbench], Dict[str, float]]],
     crash: bool = False,
-    ensemble: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Dispatch one chunk to the right measurement implementation.
 
@@ -285,7 +278,7 @@ def _run_chunk(
     testbench); only the default offset measurement has a stacked form.
     """
     if measure is None:
-        return _offset_chunk(tb, names, vth_rows, beta_rows, crash, ensemble)
+        return _offset_chunk(tb, names, vth_rows, beta_rows, crash)
     return _measure_chunk(tb, names, vth_rows, beta_rows, measure, crash)
 
 
@@ -299,7 +292,6 @@ def _run_chunk_traced(
     shard_index: int,
     lo: int,
     hi: int,
-    ensemble: Optional[str] = None,
 ) -> Tuple[List[Dict[str, float]], Dict[str, object]]:
     """Worker-side traced chunk: runs under a local tracer and ships the
     picklable trace payload back with the samples.
@@ -319,9 +311,7 @@ def _run_chunk_traced(
     with telemetry.traced_worker(
         "mc.shard", index=shard_index, lo=lo, hi=hi
     ) as tracer:
-        stats = _run_chunk(
-            tb, names, vth_rows, beta_rows, measure, crash, ensemble
-        )
+        stats = _run_chunk(tb, names, vth_rows, beta_rows, measure, crash)
         tracer.count("mc.samples_measured", hi - lo)
         metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
     return stats, tracer.trace_payload()
@@ -363,7 +353,6 @@ class _ShardDispatch:
         spans: Sequence[Tuple[int, int]],
         chunks: List[Optional[List[Dict[str, float]]]],
         statuses: List[ShardStatus],
-        ensemble: Optional[str],
         journal: Optional[RunJournal],
         max_workers: int,
     ):
@@ -375,7 +364,6 @@ class _ShardDispatch:
         self.spans = spans
         self.chunks = chunks
         self.statuses = statuses
-        self.ensemble = ensemble
         self.journal = journal
         self.max_workers = max_workers
         self.tracer = telemetry.current()
@@ -392,11 +380,10 @@ class _ShardDispatch:
         if self.tracer is not None:
             return pool.submit(
                 _run_chunk_traced, self.tb, self.names, *rows, self.measure,
-                crash, i, lo, hi, self.ensemble,
+                crash, i, lo, hi,
             )
         return pool.submit(
-            _run_chunk, self.tb, self.names, *rows, self.measure, crash,
-            self.ensemble,
+            _run_chunk, self.tb, self.names, *rows, self.measure, crash
         )
 
     def accept(self, i: int, outcome, submit_time: Optional[float]) -> None:
@@ -464,7 +451,7 @@ class _ShardDispatch:
                     self.chunks[i], payload = _run_chunk_traced(
                         self.tb, self.names, self.vth[lo:hi],
                         self.beta[lo:hi], self.measure,
-                        False, i, lo, hi, self.ensemble,
+                        False, i, lo, hi,
                     )
                     self.tracer.absorb(
                         payload, t_offset=t0, merge_metrics=False
@@ -481,7 +468,6 @@ class _ShardDispatch:
                     self.chunks[i] = _run_chunk(
                         self.tb, self.names, self.vth[lo:hi],
                         self.beta[lo:hi], self.measure,
-                        ensemble=self.ensemble,
                     )
                 monitor.unit_complete(
                     "mc.shard", label=_shard_key(self.spans[i])
@@ -509,7 +495,6 @@ def _run_shards(
     shard_timeout: Optional[float],
     max_shard_retries: int,
     budget: Optional[Budget],
-    ensemble: Optional[str] = None,
     journal: Optional[RunJournal] = None,
 ) -> Tuple[List[Optional[List[Dict[str, float]]]], List[ShardStatus]]:
     """Run every shard through the shared dispatch engine.
@@ -544,7 +529,7 @@ def _run_shards(
             pending.append(i)
     dispatch = _ShardDispatch(
         tb, names, vth, beta, measure, spans, chunks, statuses,
-        ensemble, journal, max_workers=max_workers,
+        journal, max_workers=max_workers,
     )
     runtime_pool.run_dispatch(
         dispatch, pending, max_workers, shard_timeout, max_shard_retries,
@@ -563,7 +548,6 @@ def run_monte_carlo(
     budget: Optional[Budget] = None,
     shard_timeout: Optional[float] = None,
     max_shard_retries: int = 1,
-    ensemble: Optional[str] = None,
     journal: Optional[RunJournal] = None,
 ) -> MonteCarloResult:
     """Sample mismatch and collect statistics.
@@ -584,12 +568,9 @@ def run_monte_carlo(
     sample/shard boundaries via
     :class:`~repro.errors.BudgetExceededError`.
 
-    ``ensemble`` picks how the default offset measurement evaluates each
-    shard of pre-drawn rows on the compiled engine: ``"stacked"`` (one
-    batched ensemble Newton per shard, the default) or ``"per-sample"``
-    (the golden per-row loop); ``None`` follows
-    :data:`~repro.analysis.engine.ensemble_engine`.  The value is
-    resolved here, in the parent, so scoped overrides reach pool workers.
+    On the compiled engine the default offset measurement solves each
+    shard of pre-drawn rows as one batched ensemble Newton
+    (:meth:`_CompiledOffset.measure`).
 
     ``journal`` makes the run crash-safe: completed shards are appended
     durably and restored on resume without re-running.  Because every
@@ -602,14 +583,10 @@ def run_monte_carlo(
     if workers < 1:
         raise AnalysisError("workers must be >= 1")
     engine_name = resolve_engine(engine)
-    from repro.analysis.engine import ensemble_engine
-
-    ensemble_name = ensemble_engine.resolve(ensemble)
     result = MonteCarloResult()
 
     with telemetry.span(
-        "mc.run", runs=runs, workers=workers, engine=engine_name,
-        ensemble=ensemble_name,
+        "mc.run", runs=runs, workers=workers, engine=engine_name
     ):
         telemetry.count("mc.samples", runs)
 
@@ -676,12 +653,7 @@ def run_monte_carlo(
                 metrics_on = metrics.enabled()
                 t0 = time.perf_counter() if metrics_on else 0.0
                 with telemetry.span("mc.shard", index=0, lo=0, hi=runs):
-                    chunks = [
-                        _run_chunk(
-                            tb, names, vth, beta, measure,
-                            ensemble=ensemble_name,
-                        )
-                    ]
+                    chunks = [_run_chunk(tb, names, vth, beta, measure)]
                     telemetry.count("mc.samples_measured", runs)
                 shard_seconds = (
                     time.perf_counter() - t0 if metrics_on else None
@@ -717,7 +689,6 @@ def run_monte_carlo(
                 shard_timeout=shard_timeout,
                 max_shard_retries=max_shard_retries,
                 budget=budget,
-                ensemble=ensemble_name,
                 journal=journal,
             )
             result.shards = statuses

@@ -659,44 +659,3 @@ class LinearSystem:
         except np.linalg.LinAlgError as error:
             raise AnalysisError(f"singular MNA matrix: {error}") from error
 
-
-def solve_stacked_systems(
-    systems: Sequence["LinearSystem"],
-    frequencies: np.ndarray,
-    rhs_stack: np.ndarray,
-) -> np.ndarray:
-    """One ``(K, F, n, n)`` solve over K same-sized linear systems.
-
-    ``rhs_stack`` is ``(K, size, cols)`` complex, one right-hand-side block
-    per member; the result is ``(K, F, size, cols)``.  Each member's block
-    is assembled exactly like :meth:`LinearSystem.solve_batch` (real and
-    imaginary planes written directly, LAPACK invoked per matrix), so the
-    stacked result matches K independent ``solve_batch`` calls bit for bit
-    — this is what makes the ensemble measurement path equal to the
-    per-member golden path.
-    """
-    freq = np.asarray(frequencies, dtype=float)
-    members = len(systems)
-    if members == 0:
-        raise AnalysisError("stacked solve needs at least one system")
-    size = systems[0].size
-    rhs_stack = np.asarray(rhs_stack, dtype=complex)
-    if rhs_stack.shape[:2] != (members, size):
-        raise AnalysisError(
-            "rhs_stack must be (members, size, cols) matching the systems"
-        )
-    omega = 2.0 * np.pi * freq
-    matrices = np.empty((members, freq.size, size, size), dtype=complex)
-    matrices.real[:] = np.stack(
-        [system.conductance for system in systems]
-    )[:, None]
-    matrices.imag[:] = omega[None, :, None, None] * np.stack(
-        [system.capacitance for system in systems]
-    )[:, None]
-    stacked = np.broadcast_to(
-        rhs_stack[:, None], (members, freq.size) + rhs_stack.shape[1:]
-    )
-    try:
-        return np.linalg.solve(matrices, stacked)
-    except np.linalg.LinAlgError as error:
-        raise AnalysisError(f"singular MNA matrix: {error}") from error

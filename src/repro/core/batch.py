@@ -110,51 +110,6 @@ def _build_technology(task: BatchTask) -> Technology:
     return technology
 
 
-def verify_task_corners(
-    task: BatchTask,
-    result: object,
-    corners: Optional[Sequence[str]] = None,
-    ensemble: Optional[str] = None,
-) -> Dict[str, object]:
-    """Process-corner verification of a completed ``case`` task.
-
-    Rebuilds the task's nominal technology from the preset registry,
-    re-plans it, and re-verifies the task's converged sizing at each
-    corner — on the stacked ensemble engine all corner replicas share
-    one compiled program (see
-    :meth:`~repro.sizing.verification.VerificationInterface.verify_corners`).
-    Returns ``{corner: VerificationReport}``.
-    """
-    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-    from repro.sizing.verification import VerificationInterface
-    from repro.technology.corners import CORNERS, corner_set
-
-    if task.kind != "case":
-        raise SynthesisError(
-            f"corner verification needs a 'case' task, got {task.kind!r}"
-        )
-    sizing = getattr(result, "sizing", None)
-    if sizing is None:
-        raise SynthesisError(
-            "corner verification needs a completed CaseResult with a sizing"
-        )
-    nominal = _build_technology(
-        BatchTask(kind=task.kind, technology=task.technology, specs=task.specs)
-    )
-    plan = FoldedCascodePlan(nominal, task.model_level)
-    names = tuple(corners) if corners is not None else CORNERS
-    with telemetry.span(
-        "batch.verify_corners", technology=task.technology, corners=len(names)
-    ):
-        return VerificationInterface().verify_corners(
-            plan,
-            sizing,
-            task.specs,
-            corners=corner_set(nominal, names),
-            ensemble=ensemble,
-        )
-
-
 def run_task(task: BatchTask) -> object:
     """Execute one task; the single entry point serial and pooled paths share.
 
@@ -259,7 +214,7 @@ def _case_artifact_key(task: BatchTask) -> Optional[str]:
     """
     if task.kind != "case":
         return None
-    from repro.analysis.engine import ensemble_engine, resolve_engine
+    from repro.analysis.engine import resolve_engine
     from repro.layout.engine import drc_engine, extraction_engine
 
     return artifacts.content_key(
@@ -267,7 +222,6 @@ def _case_artifact_key(task: BatchTask) -> Optional[str]:
         task,
         _build_technology(task).fingerprint(),
         resolve_engine(None),
-        ensemble_engine.resolve(None),
         extraction_engine.resolve(None),
         drc_engine.resolve(None),
     )

@@ -507,47 +507,25 @@ def run_benchmarks(
         ),
     }
 
-    # Stacked-ensemble entries: per-sample (legacy column) vs the stacked
+    # Stacked-ensemble entry: the per-sample reference loop (legacy
+    # column) on the same 200 pre-drawn rows vs Monte-Carlo's stacked
     # (K, n, n) Newton (compiled column), both on the compiled engine.
-    from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
-    from repro.analysis.ensemble import measure_ota_ensemble
+    from repro.analysis.montecarlo import (
+        _CompiledOffset,
+        draw_mismatch_samples,
+    )
 
     mc_repeat = max(1, repeat - 2)
-    with ensemble_engine.use(PERSAMPLE):
-        per_sample = time_call(
-            lambda: run_monte_carlo(tb, runs=200, seed=1234),
-            repeat=mc_repeat,
-        )
-    with ensemble_engine.use(STACKED):
-        stacked = time_call(
-            lambda: run_monte_carlo(tb, runs=200, seed=1234),
-            repeat=mc_repeat,
-        )
+    names, vth, beta = draw_mismatch_samples(tb.circuit, 200, 1234)
+    per_sample = time_call(
+        lambda: _CompiledOffset(tb, names).measure_per_sample(vth, beta),
+        repeat=mc_repeat,
+    )
+    stacked = time_call(
+        lambda: run_monte_carlo(tb, runs=200, seed=1234),
+        repeat=mc_repeat,
+    )
     results["monte_carlo_200_ensemble"] = _engine_entry(per_sample, stacked)
-
-    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-    from repro.technology import generic_060
-    from repro.technology.corners import corner_set
-
-    tech = generic_060()
-    specs = table1_specs()
-    plan = FoldedCascodePlan(tech)
-    sizing = plan.size(specs)
-    benches = [
-        FoldedCascodePlan(corner_tech).build_testbench(sizing, specs)
-        for corner_tech in corner_set(tech).values()
-    ]
-    per_corner = time_call(
-        lambda: measure_ota_ensemble(benches, engine=PERSAMPLE),
-        repeat=repeat,
-    )
-    stacked_corners = time_call(
-        lambda: measure_ota_ensemble(benches, engine=STACKED),
-        repeat=repeat,
-    )
-    results["corners_batch_ensemble"] = _engine_entry(
-        per_corner, stacked_corners
-    )
     if include_synthesis:
         from repro.core.synthesis import LayoutOrientedSynthesizer
         from repro.sizing.plans.folded_cascode import FoldedCascodePlan

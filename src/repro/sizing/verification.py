@@ -84,11 +84,8 @@ class VerificationInterface:
         specs: OtaSpecs,
         statistics: Optional[MonteCarloResult] = None,
     ) -> VerificationReport:
-        """Spec comparison on already-measured metrics.
-
-        Shared by :meth:`verify` and the ensemble corner path, so both
-        apply identical tolerances.
-        """
+        """Spec comparison on already-measured metrics (the tolerances
+        :meth:`verify` applies)."""
         meets_gbw = metrics.gbw >= specs.gbw * (1.0 - self.gbw_tolerance)
         meets_pm = (
             metrics.phase_margin_deg >= specs.phase_margin - self.pm_tolerance
@@ -107,54 +104,23 @@ class VerificationInterface:
         result,
         specs: OtaSpecs,
         corners: Optional[Dict[str, object]] = None,
-        ensemble: Optional[str] = None,
     ) -> Dict[str, VerificationReport]:
         """Re-verify a sizing result across process corners.
 
         ``plan`` must expose ``build_testbench``; each corner technology
         replaces the devices while the sizes and biases stay fixed — the
         deterministic worst-case companion to the Monte-Carlo analysis.
-
-        On the stacked ensemble engine (the default) all corner replicas
-        are measured as members of one
-        :func:`~repro.analysis.ensemble.measure_ota_ensemble` call — one
-        compiled program and one stacked small-signal solve instead of a
-        full re-compile per corner.  ``ensemble="per-sample"`` (or the
-        process-wide switch) restores the per-corner loop; members that
-        cannot be stacked fall back to it automatically.
+        Every corner is measured by :meth:`verify`; a corner that cannot
+        be measured reports its ``failure_reason``.
         """
         from repro.technology.corners import all_corners
 
         if corners is None:
             corners = all_corners(plan.technology)
-        benches: Dict[str, object] = {}
+        reports: Dict[str, VerificationReport] = {}
         for name, technology in corners.items():
             corner_plan = type(plan)(technology, plan.model_level)
-            benches[name] = corner_plan.build_testbench(result, specs)
-
-        from repro.analysis.engine import PERSAMPLE, ensemble_engine
-
-        reports: Dict[str, VerificationReport] = {}
-        if ensemble_engine.resolve(ensemble) != PERSAMPLE:
-            from repro.analysis.ensemble import measure_ota_ensemble
-
-            measurements = measure_ota_ensemble(list(benches.values()))
-            for name, measured in zip(benches, measurements):
-                if measured.metrics is None:
-                    reports[name] = VerificationReport(
-                        metrics=None,
-                        meets_gbw=False,
-                        meets_phase_margin=False,
-                        all_saturated=False,
-                        failure_reason=measured.error,
-                    )
-                else:
-                    reports[name] = self.report_from_metrics(
-                        measured.metrics, specs
-                    )
-            return reports
-
-        for name, bench in benches.items():
+            bench = corner_plan.build_testbench(result, specs)
             try:
                 reports[name] = self.verify(bench, specs)
             except (AnalysisError, ConvergenceError) as error:

@@ -86,6 +86,35 @@ class TestCommands:
         assert f"svg: {svg}" in captured.out
         assert svg.stat().st_size > 10_000
 
+    def test_synthesize_verify_corners(self, capsys, monkeypatch):
+        from repro.sizing.verification import VerificationInterface
+        from repro.technology.corners import CORNERS
+
+        seen = {}
+        verify_corners = VerificationInterface.verify_corners
+
+        def recording(self, *args, **kwargs):
+            seen.update(verify_corners(self, *args, **kwargs))
+            return seen
+
+        monkeypatch.setattr(
+            VerificationInterface, "verify_corners", recording
+        )
+        code = main([
+            "synthesize", "--gbw", "30", "--cload", "2", "--verify-corners",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        verdicts = out.split("corner verification:\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in verdicts] == list(CORNERS)
+        assert sorted(seen) == sorted(CORNERS)
+        for line, name in zip(verdicts, CORNERS):
+            report = seen[name]
+            assert line.split()[1] == ("pass" if report.passed else "FAIL")
+            if report.metrics is None:
+                assert report.failure_reason
+                assert line == f"  {name}  FAIL  ({report.failure_reason})"
+
     def test_synthesize_with_trace_writes_replayable_jsonl(
         self, capsys, tmp_path
     ):

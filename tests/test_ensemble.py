@@ -1,9 +1,9 @@
-"""Stacked-ensemble solves vs the per-sample golden path.
+"""Stacked-ensemble solves vs the per-sample reference.
 
-The ensemble engine must be a pure performance transform: sample-for-
-sample equal results (rtol 1e-9; in practice bitwise), per-member failure
-isolation, and worker-count independence.  These tests pin the design
-rules documented in :mod:`repro.analysis.ensemble`.
+The stacked Monte-Carlo path must be a pure performance transform:
+sample-for-sample equal results (rtol 1e-9; in practice bitwise),
+per-member failure isolation, and worker-count independence.  These tests
+pin the design rules documented in :mod:`repro.analysis.ensemble`.
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
-from repro.analysis.ensemble import EnsembleProgram, measure_ota_ensemble
-from repro.analysis.montecarlo import run_monte_carlo
+from repro.analysis.ensemble import EnsembleProgram
+from repro.analysis.montecarlo import (
+    _CompiledOffset,
+    draw_mismatch_samples,
+    run_monte_carlo,
+)
 from repro.analysis.stamps import StampProgram
 from repro.errors import ConvergenceError
 from repro.perf import default_testbench, two_stage_testbench
-from repro.sizing.specs import OtaSpecs
-from repro.technology import generic_035
-from repro.technology.corners import corner_set
 
 RTOL = 1e-9
 
@@ -44,33 +44,27 @@ def feedback(tb):
 
 class TestMonteCarloParity:
     def test_stacked_matches_per_sample(self, tb):
-        with ensemble_engine.use(PERSAMPLE):
-            reference = run_monte_carlo(tb, runs=40, seed=99)
-        with ensemble_engine.use(STACKED):
-            stacked = run_monte_carlo(tb, runs=40, seed=99)
-        assert set(stacked.samples) == set(reference.samples)
-        for key, values in reference.samples.items():
-            np.testing.assert_allclose(
-                stacked.samples[key], values, rtol=RTOL, atol=1e-12
-            )
+        names, vth, beta = draw_mismatch_samples(tb.circuit, 40, 99)
+        offset = _CompiledOffset(tb, names)
+        stacked = offset.measure(vth, beta)
+        reference = offset.measure_per_sample(vth, beta)
+        assert len(stacked) == len(reference) == 40
+        for got, ref in zip(stacked, reference):
+            assert set(got) == set(ref)
+            for key, value in ref.items():
+                np.testing.assert_allclose(
+                    got[key], value, rtol=RTOL, atol=1e-12
+                )
+        result = run_monte_carlo(tb, runs=40, seed=99)
+        assert result.samples == {
+            "offset_voltage": [row["offset_voltage"] for row in stacked]
+        }
 
     def test_stacked_statistics_identical_for_any_worker_count(self, tb):
-        with ensemble_engine.use(STACKED):
-            serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
-            pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
+        serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
+        pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
         assert serial.samples == pooled.samples
         assert pooled.n_failed == 0
-
-    def test_scoped_engine_override_crosses_worker_boundary(self, tb):
-        """A scoped per-sample override must also govern pool workers."""
-        with ensemble_engine.use(PERSAMPLE):
-            reference = run_monte_carlo(tb, runs=12, seed=77, workers=4)
-        with ensemble_engine.use(STACKED):
-            stacked = run_monte_carlo(tb, runs=12, seed=77, workers=4)
-        for key, values in reference.samples.items():
-            np.testing.assert_allclose(
-                stacked.samples[key], values, rtol=RTOL, atol=1e-12
-            )
 
 
 class TestMemberMasking:
@@ -172,32 +166,3 @@ class TestMemberMasking:
         assert tracer.counters["ensemble.singular_batches"] >= 1
         assert tracer.counters["ensemble.singular_members"] == 1
 
-
-class TestEnsembleMeasurement:
-    def test_corner_measurement_matches_per_sample(self):
-        technology = generic_035()
-        specs = OtaSpecs()
-        from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-
-        plan = FoldedCascodePlan(technology, 1)
-        sizing = plan.size(specs)
-        benches = [
-            type(plan)(tech, 1).build_testbench(sizing, specs)
-            for tech in corner_set(technology).values()
-        ]
-        stacked = measure_ota_ensemble(benches, engine=STACKED)
-        reference = measure_ota_ensemble(benches, engine=PERSAMPLE)
-        assert len(stacked) == len(reference) == len(benches)
-        for got, ref in zip(stacked, reference):
-            if ref.metrics is None:
-                assert got.metrics is None
-                assert got.error == ref.error
-                continue
-            for attr in (
-                "dc_gain_db", "gbw", "phase_margin_deg", "slew_rate",
-                "cmrr_db", "psrr_db", "offset_voltage",
-                "output_resistance", "input_noise_rms", "power",
-            ):
-                assert getattr(got.metrics, attr) == pytest.approx(
-                    getattr(ref.metrics, attr), rel=RTOL, abs=1e-15
-                ), attr
