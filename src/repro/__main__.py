@@ -127,16 +127,10 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
              "value: ~/.cache/repro); later runs with identical inputs "
              "are served from disk, bit-identical to a cold run",
     )
-    parser.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the differential layout caches and recompute "
-             "every round from scratch (results are bit-identical either "
-             "way; this flag only trades wall-clock for memory)",
-    )
 
 
 def _configure_runtime(args: argparse.Namespace) -> None:
-    """Apply --cache-dir / --no-incremental before any dispatch."""
+    """Apply --cache-dir before any dispatch."""
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
         from repro.runtime import artifacts
@@ -144,10 +138,6 @@ def _configure_runtime(args: argparse.Namespace) -> None:
         root = artifacts.default_root() if cache_dir == "" else cache_dir
         artifacts.configure(root)
         print(f"artifact cache: {root}", file=sys.stderr)
-    if getattr(args, "no_incremental", False):
-        from repro.layout.engine import FROM_SCRATCH, incremental_engine
-
-        incremental_engine.set_default(FROM_SCRATCH)
 
 
 def _add_journal_arguments(parser: argparse.ArgumentParser) -> None:
@@ -736,11 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append this run to a JSONL bench history and flag "
              "run-over-run p50 regressions vs the previous entry "
              "(informational; --against remains the hard gate)")
-    bench.add_argument(
-        "--no-incremental", action="store_true",
-        help="run the suite with the differential caches globally off "
-             "(the *_incremental entries still flip the switch per "
-             "column)")
     _add_trace_argument(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -784,10 +769,10 @@ def main(argv: Optional[list] = None) -> int:
     faults.arm_from_env()
     # Each CLI invocation is its own process in real use; in-process
     # callers (tests, scripts calling main() repeatedly) share the
-    # module-level differential stores, which would make a later
-    # invocation's trace and timings reflect an earlier one's work.
-    # Start every invocation cold so one `main()` call behaves like one
-    # process.
+    # generate-pass hand-off slot, so an invocation whose first layout
+    # request equals the previous invocation's last one would be handed
+    # that build and trace a cached call.  Start every invocation cold
+    # so one `main()` call behaves like one process.
     from repro.layout import incremental
 
     incremental.clear()

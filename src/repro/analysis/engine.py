@@ -38,7 +38,7 @@ class EngineSwitch:
     """One process-wide engine knob with scoped override support.
 
     Every engine selection in the package — the analysis engine here and
-    the extraction / DRC / incremental switches of
+    the extraction / DRC switches of
     :mod:`repro.layout.engine` — is an instance of this class.
     """
 

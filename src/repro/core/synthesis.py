@@ -83,8 +83,9 @@ class SynthesisOutcome:
         deliberately excludes wall-clock ``elapsed``, the geometry cell
         object, diagnostics text and the trace — so a run hashes
         identically whether its rounds were computed, replayed from a
-        journal or served from the incremental and artifact stores.  The
-        CI incremental-on/off determinism check compares these.
+        journal or served from the artifact store or the generate-pass
+        hand-off.  The CI determinism steps (jobs, kill-resume, warm
+        cache) compare these.
         """
         payload = (
             self.converged,

@@ -2,7 +2,7 @@
 
 The geometric side of the flow selects its engines with the same
 :class:`~repro.analysis.engine.EngineSwitch` the analysis engines use.
-The layout path has three independently selectable switches:
+The layout path has two independently selectable switches:
 
 * **extraction** — ``"vector"`` runs the array-based extractor
   (flat numpy coordinate arrays per layer, net ids as int codes);
@@ -11,17 +11,13 @@ The layout path has three independently selectable switches:
 * **drc** — ``"grid"`` resolves pair checks through the shared
   :class:`~repro.layout.geometry.GridIndex`; ``"allpairs"`` keeps the
   original sorted-sweep scan as the reference.
-* **incremental** — ``"on"`` serves layout work (per-module extraction
-  contributions, whole layout calls) from process-wide
-  content-keyed caches (:mod:`repro.layout.incremental`); ``"off"``
-  recomputes everything from scratch.  Unlike the other switches this
-  one is bit-exact by construction — a cache hit returns the stored
-  result of an identical earlier computation — so flipping it changes
-  wall-clock only, never a single output bit.
 
 ``None`` (the default everywhere) resolves to the process-wide default,
 so a single ``use(...)`` context flips a whole flow — this is how
 ``python -m repro bench`` measures before/after on identical code paths.
+The generate-pass hand-off (:mod:`repro.layout.incremental`) holds a
+build with the extraction engine that made it, so flipping that switch
+between two equal layout requests forces a rebuild.
 """
 
 from __future__ import annotations
@@ -32,11 +28,6 @@ VECTOR = "vector"
 SCALAR = "scalar"
 GRID = "grid"
 ALLPAIRS = "allpairs"
-INCREMENTAL = "on"
-FROM_SCRATCH = "off"
 
 extraction_engine = EngineSwitch("extraction", VECTOR, (VECTOR, SCALAR))
 drc_engine = EngineSwitch("drc", GRID, (GRID, ALLPAIRS))
-incremental_engine = EngineSwitch(
-    "incremental", INCREMENTAL, (INCREMENTAL, FROM_SCRATCH)
-)

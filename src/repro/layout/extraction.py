@@ -562,20 +562,7 @@ def extract_cell(
     annotation (and everything solved from it) is independent of shape
     iteration order.
     """
-    from repro.layout import incremental
-
     engine = extraction_engine.resolve(engine)
-    reuse_key = incremental.extraction_key(cell, tech, engine)
-    cached = incremental.lookup_extraction(reuse_key)
-    if cached is not None:
-        # The differential fast path: this cell's content (motif, folds,
-        # technology) already went through these exact passes.  Still a
-        # logical extraction, so traces keep one span per call.
-        with telemetry.span(
-            "layout.extract", cell=cell.name, engine=engine, cached=True
-        ):
-            telemetry.count("layout.extract")
-        return cached
     shapes = list(cell.flattened())
     actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
     interconnect = [
@@ -596,14 +583,12 @@ def extract_cell(
             wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
             coupling = _coupling_vec(tech, interconnect, ws=ws)
             diffusion = _diffusion_strips_vec(tech, shapes, ws)
-        result = ExtractedParasitics(
+        return ExtractedParasitics(
             net_wire_cap=dict(sorted(wire.items())),
             coupling=dict(sorted(coupling.items())),
             diffusion=dict(sorted(diffusion.items())),
             well=dict(sorted(_wells(shapes).items())),
         )
-        incremental.store_extraction(reuse_key, result)
-        return result
 
 
 def annotate_circuit(

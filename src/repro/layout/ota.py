@@ -26,14 +26,11 @@ Two modes, as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import time
-
-from repro import telemetry
 from repro.errors import LayoutError
-from repro.telemetry import metrics
+from repro.layout import incremental
 from repro.layout.cell import Cell
 from repro.layout.devices import (
     ModuleLayout,
@@ -303,32 +300,6 @@ def _build_variants(
     return variants
 
 
-def _request_key(request: OtaLayoutRequest) -> Optional[str]:
-    """Content digest of every field the generator reads, or None."""
-    from repro.layout.incremental import layout_key
-
-    return layout_key(
-        "ota",
-        request.technology.fingerprint(),
-        tuple(sorted(dict(request.sizes).items())),
-        tuple(sorted(dict(request.currents).items())),
-        request.aspect,
-        request.height,
-        request.width,
-        request.pair_style,
-        request.prefer_even_folds,
-        request.max_variants,
-        request.input_pair_well_to_source,
-    )
-
-
-def _project(result: OtaLayoutResult, mode: str) -> OtaLayoutResult:
-    """The per-mode view of one fully built layout result."""
-    return replace(
-        result, cell=result.cell if mode == "generate" else None, mode=mode
-    )
-
-
 def generate_ota_layout(
     request: OtaLayoutRequest, mode: str = "estimate"
 ) -> OtaLayoutResult:
@@ -338,37 +309,15 @@ def generate_ota_layout(
     result); ``mode='generate'`` also returns the drawn layout.
 
     Both modes run the same build internally (the parasitic pass needs
-    the placed-and-routed geometry anyway), so with the incremental
-    engine on the full result is stored once in the process-wide layout
-    store keyed on request content — a converged synthesis round's
-    ``generate`` pass, and any later call with identical inputs, is
-    served without a rebuild.
+    the placed-and-routed geometry anyway), so a call whose request
+    equals the previous call's — the converged round's ``generate``
+    pass — is handed that build instead of rebuilding
+    (:func:`repro.layout.incremental.layout_call`).
     """
-    from repro.layout import incremental
-
-    if mode not in ("estimate", "generate"):
-        raise LayoutError(f"mode must be 'estimate' or 'generate', got {mode!r}")
-    key = _request_key(request)
-    cached = incremental.lookup_layout(key)
-    if cached is not None:
-        # Still a logical layout call — only the rebuild is skipped.
-        with telemetry.span(
-            "layout.call", mode=mode, aspect=request.aspect, cached=True
-        ):
-            telemetry.count(f"layout.calls.{mode}")
-        return _project(cached, mode)
-    metrics_on = metrics.enabled()
-    t0 = time.perf_counter() if metrics_on else 0.0
-    with telemetry.span("layout.call", mode=mode, aspect=request.aspect):
-        telemetry.count(f"layout.calls.{mode}")
-        result = _generate(request, "generate")
-        incremental.store_layout(key, result)
-    if metrics_on:
-        metrics.observe("layout.call.seconds", time.perf_counter() - t0)
-    return _project(result, mode)
+    return incremental.layout_call(request, mode, _generate)
 
 
-def _generate(request: OtaLayoutRequest, mode: str) -> OtaLayoutResult:
+def _generate(request: OtaLayoutRequest) -> OtaLayoutResult:
     tech = request.technology
     rules = tech.rules
     missing = [d for d in _all_devices() if d not in request.sizes]
@@ -446,9 +395,9 @@ def _generate(request: OtaLayoutRequest, mode: str) -> OtaLayoutResult:
     return OtaLayoutResult(
         report=report,
         fold_config=fold_config,
-        cell=top if mode == "generate" else None,
+        cell=top,
         placements=placements,
-        mode=mode,
+        mode="generate",
     )
 
 

@@ -13,10 +13,11 @@ output device, Miller capacitor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import LayoutError
+from repro.layout import incremental
 from repro.layout.cairo import CairoProgram
 from repro.layout.cell import Cell
 from repro.layout.folding import choose_fold_count
@@ -129,30 +130,16 @@ def _program(request: TwoStageLayoutRequest) -> Tuple[CairoProgram, Dict[str, in
     return program, fold_config
 
 
-def _finalise(
-    request: TwoStageLayoutRequest,
-    report: ParasiticReport,
-    fold_config: Dict[str, int],
-) -> TwoStageLayoutResult:
+def _build(request: TwoStageLayoutRequest) -> TwoStageLayoutResult:
+    """The full build: program, drawn cell and parasitic report."""
+    program, fold_config = _program(request)
+    cell, report = program.generate()
     # Requested widths for the width-error bookkeeping.
     for device, info in report.devices.items():
         if device in request.sizes:
             info.requested_width = request.sizes[device][0]
-    return TwoStageLayoutResult(report=report, fold_config=fold_config)
-
-
-def _request_key(request: TwoStageLayoutRequest) -> Optional[str]:
-    """Content digest of every field the generator reads, or None."""
-    from repro.layout.incremental import layout_key
-
-    return layout_key(
-        "two_stage",
-        request.technology.fingerprint(),
-        tuple(sorted(dict(request.sizes).items())),
-        tuple(sorted(dict(request.currents).items())),
-        request.cc,
-        request.aspect,
-        request.prefer_even_folds,
+    return TwoStageLayoutResult(
+        report=report, fold_config=fold_config, cell=cell, mode="generate"
     )
 
 
@@ -162,26 +149,9 @@ def generate_two_stage_layout(
     """Run the two-stage generator in either of the paper's modes.
 
     Like the folded-cascode generator, both modes assemble the same
-    geometry internally, so with the incremental engine on the fully
-    drawn result is stored once per request content and later calls
-    (the converged round's ``generate`` pass, warm re-runs) are served
-    without a rebuild.
+    geometry internally, so a call whose request equals the previous
+    call's — the converged round's ``generate`` pass — is handed that
+    build instead of rebuilding
+    (:func:`repro.layout.incremental.layout_call`).
     """
-    from repro.layout import incremental
-
-    if mode not in ("estimate", "generate"):
-        raise LayoutError(f"mode must be 'estimate' or 'generate', got {mode!r}")
-    key = _request_key(request)
-    cached = incremental.lookup_layout(key)
-    if cached is None:
-        program, fold_config = _program(request)
-        cell, report = program.generate()
-        cached = _finalise(request, report, fold_config)
-        cached.cell = cell
-        cached.mode = "generate"
-        incremental.store_layout(key, cached)
-    return replace(
-        cached,
-        cell=cached.cell if mode == "generate" else None,
-        mode=mode,
-    )
+    return incremental.layout_call(request, mode, _build)

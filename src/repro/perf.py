@@ -543,16 +543,9 @@ def run_benchmarks(
                 specs, mode=ParasiticMode.FULL, generate=True
             )
 
-        # The differential caches would mask the engine difference this
-        # entry exists to measure (a warm repeat skips the physics in
-        # both columns), so the raw legacy-vs-compiled comparison runs
-        # from scratch.
-        from repro.layout.engine import FROM_SCRATCH, incremental_engine
-
-        with incremental_engine.use(FROM_SCRATCH):
-            results["synthesize_case4"] = compare_engines(
-                synthesize, repeat=max(1, repeat - 1)
-            )
+        results["synthesize_case4"] = compare_engines(
+            synthesize, repeat=max(1, repeat - 1)
+        )
     return results
 
 
@@ -585,27 +578,11 @@ def run_layout_benchmarks(
     cell = hand_ota_layout(tech).cell
     checker = DrcChecker(tech)
 
-    from repro.layout import incremental
-    from repro.layout.engine import (
-        FROM_SCRATCH,
-        INCREMENTAL,
-        incremental_engine,
-    )
-
     results: Dict[str, Dict[str, float]] = {}
-    # Caches off: warm repeats would hit the per-module store in both
-    # columns and mask the scalar-vs-vector difference this entry
-    # measures; the ``extraction_incremental`` entry owns the cached
-    # comparison.
-    with incremental_engine.use(FROM_SCRATCH):
-        with extraction_engine.use(SCALAR):
-            scalar = time_call(
-                lambda: extract_cell(cell, tech), repeat=repeat
-            )
-        with extraction_engine.use(VECTOR):
-            vector = time_call(
-                lambda: extract_cell(cell, tech), repeat=repeat
-            )
+    with extraction_engine.use(SCALAR):
+        scalar = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
+    with extraction_engine.use(VECTOR):
+        vector = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
     results["layout_extract"] = _engine_entry(scalar, vector)
 
     with drc_engine.use(ALLPAIRS):
@@ -613,18 +590,6 @@ def run_layout_benchmarks(
     with drc_engine.use(GRID):
         grid = time_call(lambda: checker.check(cell), repeat=repeat)
     results["layout_drc"] = _engine_entry(allpairs, grid)
-
-    # Differential extraction: repeated extraction of the same cell
-    # from scratch (legacy column) vs served per-module from the
-    # content-keyed store (compiled column; the warmup fills it).
-    incremental.clear()
-    with incremental_engine.use(FROM_SCRATCH):
-        scratch = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
-    incremental.clear()
-    with incremental_engine.use(INCREMENTAL):
-        warm = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
-    incremental.clear()
-    results["extraction_incremental"] = _engine_entry(scratch, warm)
 
     if batch_jobs >= 2:
         from repro.core.batch import BatchTask, run_batch

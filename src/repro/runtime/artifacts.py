@@ -2,10 +2,11 @@
 
 The synthesis loop's dominant repeated cost is layout work whose inputs
 recur exactly: a converged sizing re-estimated in a later run, a Table-1
-case re-run with identical specs/technology/engines.  The in-process
-stores of :mod:`repro.layout.incremental` die with the process; this
-module persists those artifacts on disk, content-addressed, so a second
-``table1`` invocation in a fresh process is served warm.
+case re-run with identical specs/technology/engines.  Within one
+process only the generate pass reuses a build (the one-entry hand-off
+of :mod:`repro.layout.incremental`); this module persists estimate-mode
+layout artifacts on disk, content-addressed, so a second ``table1``
+invocation in a fresh process is served warm.
 
 Keys are sha256 digests over the same canonical token stream
 :meth:`~repro.core.cases.CaseResult.fingerprint` uses (enums by name,

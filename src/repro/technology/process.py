@@ -225,7 +225,7 @@ class Technology:
 
         Two Technology objects with identical content share a
         fingerprint regardless of object identity — this is the "tech
-        hash" component of layout-call memoization keys.  Computed once
+        hash" component of artifact-store keys.  Computed once
         and cached on the instance (frozen dataclasses still own a
         ``__dict__``).
         """

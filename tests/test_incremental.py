@@ -1,231 +1,150 @@
-"""Incremental synthesis hot path.
+"""The generate-pass hand-off and process-global state.
 
-Pins the contract of the differential/incremental caches: they change
-wall-clock, never output bits — synthesis fingerprints are identical
-across incremental on/off, any cache temperature and any order in which
-one process synthesizes distinct designs.
+Pins the contract of the one layout reuse the synthesis path keeps: a
+layout call whose request equals the previous call's is handed that
+build, bit for bit, and any other request rebuilds.  Fingerprints must
+not depend on which designs, in which technologies, one process
+synthesized before.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.analysis import warmstart
+from repro.analysis import dcop, warmstart
 from repro.core.synthesis import LayoutOrientedSynthesizer
-from repro.layout import incremental
-from repro.layout.engine import incremental_engine
-from repro.layout.incremental import LruStore
+from repro.layout import incremental, shape, stack
+from repro.layout.engine import SCALAR, extraction_engine
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.two_stage_ota import (
     TwoStageLayoutRequest,
     generate_two_stage_layout,
 )
+from repro.runtime.artifacts import canonical_tokens
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.telemetry import trace_run
 from repro.units import PF
 
+TWO_STAGE_SPECS = OtaSpecs(
+    vdd=3.3, gbw=30e6, phase_margin=60.0, cload=2 * PF,
+    input_cm_range=(1.0, 2.0), output_range=(0.4, 2.9),
+)
+
 
 @pytest.fixture(autouse=True)
-def _fresh_stores():
-    """Each test starts (and leaves) the process-wide stores empty."""
+def _fresh_slot():
+    """Each test starts (and leaves) the hand-off slot empty."""
     incremental.clear()
     yield
     incremental.clear()
 
 
-def _reports_equal(a, b, rel=1e-12):
-    """Two parasitic reports agree to ``rel`` on every entry."""
-    assert set(a.devices) == set(b.devices)
-    for name, info in a.devices.items():
-        other = b.devices[name]
-        assert info.nf == other.nf
-        assert info.actual_width == pytest.approx(
-            other.actual_width, rel=rel
-        )
-        assert info.geometry.ad == pytest.approx(other.geometry.ad, rel=rel)
-    for field in ("net_capacitance", "coupling", "well_capacitance"):
-        left, right = getattr(a, field), getattr(b, field)
-        assert set(left) == set(right)
-        for key, value in left.items():
-            assert value == pytest.approx(right[key], rel=rel)
-    assert a.width == pytest.approx(b.width, rel=rel)
-    assert a.height == pytest.approx(b.height, rel=rel)
-
-
-class TestLruStore:
-    def test_hit_miss_and_eviction(self):
-        store = LruStore(capacity=2)
-        assert store.get("a") is None
-        store.put("a", 1)
-        store.put("b", 2)
-        assert store.get("a") == 1  # refreshes "a"
-        store.put("c", 3)  # evicts "b", the least recently used
-        assert store.get("b") is None
-        assert store.get("a") == 1
-        assert store.get("c") == 3
-        assert store.evictions == 1
-        assert store.hits == 3
-        assert store.misses == 2
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LruStore(capacity=0)
-
-
-class TestExtractionParity:
-    """Incremental extraction returns the bits a full pass produces."""
-
-    def test_folded_cascode_incremental_matches_full(self, tech, hand_sized):
+@pytest.fixture(scope="module", params=["folded_cascode", "two_stage"])
+def layout_case(request, tech, hand_sized):
+    """(generator, request) for each layout generator."""
+    if request.param == "folded_cascode":
         sizes, currents = hand_sized
-        request = OtaLayoutRequest(
+        return generate_ota_layout, OtaLayoutRequest(
             technology=tech, sizes=sizes, currents=currents, aspect=1.0
         )
-        with incremental_engine.use("off"):
-            full = generate_ota_layout(request, mode="estimate")
-        cold = generate_ota_layout(request, mode="estimate")
-        warm = generate_ota_layout(request, mode="estimate")
-        _reports_equal(full.report, cold.report)
-        _reports_equal(full.report, warm.report)
-        assert full.fold_config == cold.fold_config == warm.fold_config
-        # The warm repeat was served from the layout-call store.
-        assert incremental.stats()["layout"]["hits"] >= 1
+    result = TwoStagePlan(tech).size(
+        TWO_STAGE_SPECS, ParasiticMode.SINGLE_FOLD
+    )
+    return generate_two_stage_layout, TwoStageLayoutRequest(
+        technology=tech,
+        sizes=result.sizes,
+        currents=result.currents,
+        cc=result.biases["_cc"],
+    )
 
-    def test_two_stage_incremental_matches_full(self, tech):
-        specs = OtaSpecs(
-            vdd=3.3, gbw=30e6, phase_margin=60.0, cload=2 * PF,
-            input_cm_range=(1.0, 2.0), output_range=(0.4, 2.9),
-        )
-        result = TwoStagePlan(tech).size(specs, ParasiticMode.SINGLE_FOLD)
-        request = TwoStageLayoutRequest(
-            technology=tech,
-            sizes=result.sizes,
-            currents=result.currents,
-            cc=result.biases["_cc"],
-        )
-        with incremental_engine.use("off"):
-            full = generate_two_stage_layout(request, mode="estimate")
-        cold = generate_two_stage_layout(request, mode="estimate")
-        warm = generate_two_stage_layout(request, mode="estimate")
-        _reports_equal(full.report, cold.report)
-        _reports_equal(full.report, warm.report)
-        assert incremental.stats()["layout"]["hits"] >= 1
 
-    def test_generate_mode_shares_the_estimate_build(self, tech, hand_sized):
-        """Both modes project one cached full build; generate after
-        estimate does not rebuild and still carries the cell."""
-        sizes, currents = hand_sized
-        request = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
-        )
-        estimate = generate_ota_layout(request, mode="estimate")
-        builds = incremental.stats()["layout"]["misses"]
-        generated = generate_ota_layout(request, mode="generate")
-        assert incremental.stats()["layout"]["misses"] == builds
+def _equal_copy(request):
+    """A request ``==`` to ``request`` that shares none of its mappings."""
+    return replace(
+        request, sizes=dict(request.sizes), currents=dict(request.currents)
+    )
+
+
+def _builds(tracer) -> float:
+    return tracer.counters.get("layout.incremental.call_build", 0.0)
+
+
+def _geometry(cell):
+    return [(s.layer, s.rect, s.net) for s in cell.flattened()]
+
+
+class TestGeneratePassHandOff:
+    def test_generate_after_estimate_is_handed_off(self, layout_case):
+        generate, request = layout_case
+        estimate = generate(request, mode="estimate")
+        with trace_run("hand-off") as tracer:
+            handed = generate(_equal_copy(request), mode="generate")
+        assert _builds(tracer) == 0
+        assert tracer.counters["layout.incremental.call_reuse"] == 1
+        (call,) = tracer.summary().spans("layout.call")
+        assert call.attrs["cached"] is True
         assert estimate.cell is None
-        assert generated.cell is not None
-        _reports_equal(estimate.report, generated.report)
+        assert handed.cell is not None and handed.mode == "generate"
 
-
-class TestDirtyInvalidation:
-    """Changing one device re-extracts its module; the rest reuse."""
-
-    def test_one_device_change_dirties_few_modules(self, tech, hand_sized):
-        sizes, currents = hand_sized
-        base = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(base, mode="estimate")
-        before = incremental.stats()["extraction"]
-        total_modules = before["misses"]
-
-        # mp5 is the tail source — the one device whose drawn width is
-        # not slaved to a matched partner, so the perturbation reaches
-        # the geometry.
-        touched = dict(sizes)
-        w, l = touched["mp5"]
-        touched["mp5"] = (w * 2.0, l)
-        dirty_request = OtaLayoutRequest(
-            technology=tech, sizes=touched, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(dirty_request, mode="estimate")
-        after = incremental.stats()["extraction"]
-
-        reused = after["hits"] - before["hits"]
-        dirty = after["misses"] - before["misses"]
-        assert reused > 0, "unchanged modules must reuse their extraction"
-        assert dirty > 0, "the resized device's module must re-extract"
-        assert dirty < total_modules, (
-            "a single-device change must not re-extract every module"
-        )
-
-    def test_identical_request_reuses_every_module(self, tech, hand_sized):
-        sizes, currents = hand_sized
-        request = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(request, mode="estimate")
-        before = incremental.stats()["extraction"]
-        # Bypass the whole-call store with a fresh but content-identical
-        # request after clearing only the layout store: every module
-        # extraction must hit.
-        incremental._layout_store.clear()
-        generate_ota_layout(request, mode="estimate")
-        after = incremental.stats()["extraction"]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
-
-    def test_fault_injection_bypasses_stores(self, tech, hand_sized):
-        from repro.resilience import faults
-
-        sizes, currents = hand_sized
-        request = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(request, mode="estimate")
-        with faults.inject("test.unreached"):
-            assert not incremental.enabled()
-            generate_ota_layout(request, mode="estimate")
-        assert incremental.stats()["layout"]["hits"] == 0
-
-
-class TestSynthesisDeterminism:
-    """The acceptance contract: fingerprints are independent of the
-    incremental engine and cache temperature."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, tech, specs):
+        # The hand-off carries the bits a fresh build produces.
         incremental.clear()
-        with incremental_engine.use("off"):
-            synthesizer = LayoutOrientedSynthesizer(
-                tech, plan=FoldedCascodePlan(tech)
-            )
-            outcome = synthesizer.run(
-                specs, ParasiticMode.FULL, generate=True
-            )
-        return outcome.fingerprint()
-
-    def _run(self, tech, specs):
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, plan=FoldedCascodePlan(tech)
+        rebuilt = generate(request, mode="generate")
+        assert list(canonical_tokens(handed.report)) == list(
+            canonical_tokens(rebuilt.report)
         )
-        return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
+        assert handed.fold_config == rebuilt.fold_config
+        assert _geometry(handed.cell) == _geometry(rebuilt.cell)
 
-    def test_cold_and_warm_match_from_scratch(self, tech, specs, reference):
-        cold = self._run(tech, specs)
-        assert cold.fingerprint() == reference
-        warm = self._run(tech, specs)
-        assert warm.fingerprint() == reference
-        stats = incremental.stats()
-        assert stats["layout"]["hits"] > 0
+    def test_other_request_in_between_forces_rebuild(self, layout_case):
+        generate, request = layout_case
+        generate(request, mode="estimate")
+        generate(replace(request, aspect=2.0), mode="estimate")
+        with trace_run("rebuild") as tracer:
+            generate(request, mode="generate")
+        assert _builds(tracer) == 1
+        assert "layout.incremental.call_reuse" not in tracer.counters
+
+    def test_in_place_edit_after_the_call_forces_rebuild(self, layout_case):
+        generate, request = layout_case
+        mutable = _equal_copy(request)
+        generate(mutable, mode="estimate")
+        device = sorted(mutable.sizes)[0]
+        width, length = mutable.sizes[device]
+        mutable.sizes[device] = (width * 1.5, length)
+        with trace_run("edited") as tracer:
+            generate(mutable, mode="generate")
+        assert _builds(tracer) == 1
+
+    def test_other_extraction_engine_forces_rebuild(self, tech, hand_sized):
+        sizes, currents = hand_sized
+        request = OtaLayoutRequest(
+            technology=tech, sizes=sizes, currents=currents, aspect=1.0
+        )
+        generate_ota_layout(request, mode="estimate")
+        with trace_run("engine") as tracer, extraction_engine.use(SCALAR):
+            generate_ota_layout(request, mode="generate")
+        assert _builds(tracer) == 1
+
+
+def _all_process_memos_cold() -> None:
+    """Empty every process-global memo the synthesis path fills."""
+    incremental.clear()
+    shape.clear_compose_cache()
+    stack._PLAN_CACHE.clear()
+    dcop._MODEL_CACHE.clear()
 
 
 class TestRunOrder:
-    """The process-wide stores outlive a synthesis, so one design's
-    entries are live while the next is synthesized.  Fingerprints must
-    not depend on which designs ran before in the same process."""
+    """The process-global memos (hand-off slot, shape-compose cache,
+    stack-plan cache, model cache) outlive a synthesis, so one design's
+    entries are live while the next is synthesized, possibly in another
+    technology.  Fingerprints must not depend on which designs ran
+    before in the same process."""
 
     def _folded_cascode(self, tech, specs):
         synthesizer = LayoutOrientedSynthesizer(
@@ -234,11 +153,6 @@ class TestRunOrder:
         return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
 
     def _two_stage(self, tech):
-        specs = OtaSpecs(
-            vdd=3.3, gbw=30e6, phase_margin=60.0, cload=2 * PF,
-            input_cm_range=(1.0, 2.0), output_range=(0.4, 2.9),
-        )
-
         def layout_tool(sizing, mode):
             return generate_two_stage_layout(
                 TwoStageLayoutRequest(
@@ -251,9 +165,13 @@ class TestRunOrder:
         synthesizer = LayoutOrientedSynthesizer(
             tech, plan=TwoStagePlan(tech), layout_tool=layout_tool
         )
-        return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
+        return synthesizer.run(
+            TWO_STAGE_SPECS, ParasiticMode.FULL, generate=True
+        )
 
-    def test_fingerprints_independent_of_run_order(self, tech, specs):
+    def test_fingerprints_independent_of_run_order(
+        self, tech, tech_035, specs
+    ):
         other = OtaSpecs(
             vdd=3.3, gbw=50e6, phase_margin=65.0, cload=2 * PF,
             input_cm_range=(0.55, 1.84), output_range=(0.51, 2.31),
@@ -262,14 +180,21 @@ class TestRunOrder:
             "a": lambda: self._folded_cascode(tech, specs).fingerprint(),
             "b": lambda: self._folded_cascode(tech, other).fingerprint(),
             "two-stage": lambda: self._two_stage(tech).fingerprint(),
+            "a-0.35um": lambda: self._folded_cascode(
+                tech_035, specs
+            ).fingerprint(),
         }
         cold = {}
         for name, run in runs.items():
-            incremental.clear()
+            _all_process_memos_cold()
             cold[name] = run()
-        assert cold["a"] != cold["b"]
-        for order in (("a", "b", "two-stage"), ("b", "a", "two-stage")):
-            incremental.clear()
+        assert len(set(cold.values())) == len(cold)
+        # Both orders step 0.6 um -> 0.35 um -> 0.6 um.
+        for order in (
+            ("a", "a-0.35um", "b", "two-stage"),
+            ("b", "two-stage", "a-0.35um", "a"),
+        ):
+            _all_process_memos_cold()
             assert {name: runs[name]() for name in order} == cold, order
 
 

@@ -310,25 +310,92 @@ def _stub_synthesizer(tech, values):
     )
 
 
-class TestSynthesisTrace:
-    def test_outcome_carries_trace_summary(self, tech, specs):
-        from repro.sizing.specs import ParasiticMode
+def _real_synthesizer(tech, specs, topology):
+    """(synthesizer, specs) running the real layout tool of ``topology``."""
+    from repro.core.synthesis import LayoutOrientedSynthesizer
+    from repro.layout.two_stage_ota import (
+        TwoStageLayoutRequest,
+        generate_two_stage_layout,
+    )
+    from repro.sizing.plans.two_stage import TwoStagePlan
+    from repro.sizing.specs import OtaSpecs
+    from repro.units import PF
 
-        synthesizer = _stub_synthesizer(tech, [0.0, 0.1])
-        with trace_run("run"):
-            outcome = synthesizer.run(
-                specs, mode=ParasiticMode.FULL, generate=False
-            )
-        assert outcome.trace is not None
-        assert outcome.trace.counter("synthesis.rounds") == 2.0
-        assert outcome.trace.span_count("synthesis.round") == 2
-        rounds = outcome.trace.spans("synthesis.round")
-        assert [s.attrs["round"] for s in rounds] == [1, 2]
+    if topology == "folded_cascode":
+        return LayoutOrientedSynthesizer(tech), specs
+
+    def layout_tool(sizing, mode):
+        return generate_two_stage_layout(
+            TwoStageLayoutRequest(
+                technology=tech, sizes=sizing.sizes,
+                currents=sizing.currents, cc=sizing.biases["_cc"],
+            ),
+            mode=mode,
+        )
+
+    two_stage_specs = OtaSpecs(
+        vdd=3.3, gbw=30e6, phase_margin=60.0, cload=2 * PF,
+        input_cm_range=(1.0, 2.0), output_range=(0.4, 2.9),
+    )
+    synthesizer = LayoutOrientedSynthesizer(
+        tech, plan=TwoStagePlan(tech), layout_tool=layout_tool
+    )
+    return synthesizer, two_stage_specs
+
+
+class TestSynthesisTrace:
+    @pytest.mark.parametrize("topology", ["folded_cascode", "two_stage"])
+    def test_outcome_carries_trace_summary(self, tech, specs, topology):
+        from repro.layout import incremental
+        from repro.sizing.specs import ParasiticMode
+        from repro.telemetry import metrics
+
+        synthesizer, run_specs = _real_synthesizer(tech, specs, topology)
+        incremental.clear()
+        try:
+            with metrics.collecting(fresh=True) as registry:
+                with trace_run("run"):
+                    outcome = synthesizer.run(
+                        run_specs, mode=ParasiticMode.FULL, generate=True
+                    )
+                builds = registry.histogram("layout.call.seconds").count
+        finally:
+            metrics.registry().reset()
+        trace = outcome.trace
+        assert trace is not None
+        rounds = outcome.layout_calls
+        assert trace.counter("synthesis.rounds") == rounds
+        assert trace.span_count("synthesis.round") == rounds
+        round_spans = trace.spans("synthesis.round")
+        assert [s.attrs["round"] for s in round_spans] == list(
+            range(1, rounds + 1)
+        )
         completes = [
-            e for s in rounds for e in s.events
+            e for s in round_spans for e in s.events
             if e["name"] == "synthesis.round.complete"
         ]
-        assert completes[-1]["attrs"]["distance"] == 0.1
+        assert completes[-1]["attrs"]["distance"] == (
+            outcome.records[-1].distance
+        )
+        # One layout.call span per call, with the round's estimate in
+        # the round's subtree; the generate pass is handed the converged
+        # round's build, so it is the one cached call and the only call
+        # without a layout.call.seconds observation.
+        for round_span in round_spans:
+            counts = round_span.subtree_counts()
+            assert counts.get("layout.calls.estimate", 0) == 1
+        calls = trace.spans("layout.call")
+        assert [s.attrs["mode"] for s in calls] == (
+            ["estimate"] * rounds + ["generate"]
+        )
+        assert [s.attrs.get("cached", False) for s in calls] == (
+            [False] * rounds + [True]
+        )
+        assert trace.counter("layout.calls.estimate") == rounds
+        assert trace.counter("layout.calls.generate") == 1
+        assert trace.counter("layout.incremental.call_build") == rounds
+        assert trace.counter("layout.incremental.call_reuse") == 1
+        assert builds == rounds
 
     def test_outcome_trace_is_none_untraced(self, tech, specs):
         from repro.sizing.specs import ParasiticMode
